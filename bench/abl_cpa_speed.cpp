@@ -6,7 +6,7 @@
 // (cpa::correlate_rotations_blocked) is benched both raw (BM_Blocked)
 // and through the kNaive dispatch it now backs (BM_Naive); the
 // reference one-rotation-per-pass sweep it replaced stays measurable as
-// BM_NaiveRef.
+// BM_NaiveRef. BM_PlannedFft times the planned transform alone.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "bench_common.h"
 #include "cpa/correlation.h"
 #include "dsp/correlate.h"
+#include "dsp/fft_plan.h"
 #include "runtime/executor.h"
 #include "sequence/lfsr.h"
 #include "sequence/polynomials.h"
@@ -125,6 +126,26 @@ void BM_NaiveParallel(benchmark::State& state) {
       static_cast<std::int64_t>(cycles));
 }
 
+// One planned transform, the primitive every FFT-form sweep is built
+// from: n = 4095 is the paper's period (a Bluestein transform over two
+// 8192-point radix-2 passes), n = 8192 one bare radix-2 pass.
+void BM_PlannedFft(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto plan = clockmark::dsp::get_fft_plan(n);
+  clockmark::util::Pcg32 rng(7);
+  std::vector<clockmark::dsp::cplx> x(n);
+  for (auto& v : x) v = {rng.gaussian(), rng.gaussian()};
+  clockmark::dsp::FftWorkspace ws;
+  std::vector<clockmark::dsp::cplx> out;
+  for (auto _ : state) {
+    plan->transform(x, false, ws, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
 // Captures per-benchmark results alongside the normal console output so
 // --json=PATH can record them (cpu time per iteration, items/sec).
 class JsonCapture : public benchmark::ConsoleReporter {
@@ -189,6 +210,8 @@ BENCHMARK(BM_Fft)
     ->Args({12, 300000})
     ->Args({16, 300000})
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlannedFft)->Arg(4095)->Arg(8192)->Unit(
+    benchmark::kMicrosecond);
 
 // Custom main instead of BENCHMARK_MAIN(): strips our --json=PATH flag
 // before google-benchmark parses the remaining arguments, then writes

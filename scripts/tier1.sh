@@ -2,8 +2,9 @@
 # Tier-1 verification: the full build + test sweep, the cm_lint design-rule
 # gate, then sanitizer passes — ThreadSanitizer over the concurrency-
 # sensitive binaries (the cm_runtime primitives and the sim/experiment
-# drivers that fan repetitions out over them) and UBSan over the
-# arithmetic-heavy sequence/dsp/cpa tests.
+# drivers that fan repetitions out over them), UBSan over the
+# arithmetic-heavy sequence/dsp/cpa tests, and ASan (+ UBSan) over the
+# dsp/cpa/sync tests, whose FFT kernel indexes raw double strides.
 #
 # Usage: scripts/tier1.sh [--skip-tsan]
 set -euo pipefail
@@ -30,7 +31,7 @@ SMOKE_THREADS="$(nproc)"
 rm -rf "${SMOKE_DIR}"
 mkdir -p "${SMOKE_DIR}"
 ./build/bench/abl_cpa_speed --benchmark_min_time=0.01 \
-  --benchmark_filter='BM_Fft/10/30000|BM_NaiveRef/5/120000|BM_Blocked/5/120000|BM_Blocked/10/30000|BM_Folded/5/120000' \
+  --benchmark_filter='BM_Fft/10/30000|BM_NaiveRef/5/120000|BM_Blocked/5/120000|BM_Blocked/10/30000|BM_Folded/5/120000|BM_PlannedFft/4095|BM_PlannedFft/8192' \
   --json="${SMOKE_DIR}/BENCH_cpa_speed.json" > "${SMOKE_DIR}/cpa_speed.log"
 if [[ "${SMOKE_THREADS}" -gt 1 ]]; then
   ./build/bench/abl_cpa_speed --benchmark_min_time=0.01 \
@@ -204,5 +205,16 @@ cmake --build build-ubsan -j --target test_sequence test_dsp test_cpa \
 ./build-ubsan/tests/test_dsp
 ./build-ubsan/tests/test_cpa
 ./build-ubsan/tests/test_socdesc
+
+echo "=== tier-1: ASan pass (dsp + cpa + sync tests) ==="
+# CLOCKMARK_SANITIZE=address is ASan + UBSan. ASan aborts on its first
+# report; halt_on_error does the same for the (recoverable) UBSan checks
+# of this build, so again a plain run is the gate.
+cmake -B build-asan -S . -DCLOCKMARK_SANITIZE=address
+cmake --build build-asan -j --target test_dsp test_cpa test_sync
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+./build-asan/tests/test_dsp
+./build-asan/tests/test_cpa
+./build-asan/tests/test_sync
 
 echo "=== tier-1: OK ==="

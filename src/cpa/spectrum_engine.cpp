@@ -113,9 +113,7 @@ SpreadSpectrum SpectrumEngine::sweep(std::span<const double> y,
     ws.t0[i] = dsp::cplx(ar.fold.sums[i], 0.0);
   }
   plan_->transform(ws.t0, false, ws, ws.t1);
-  for (std::size_t k = 0; k < period; ++k) {
-    ws.t0[k] = std::conj(ws.t1[k]) * fft_pattern_[k];
-  }
+  dsp::multiply_spectra(ws.t1, fft_pattern_, ws.t0, dsp::Conjugate::kFirst);
   plan_->transform(ws.t0, true, ws, ws.t1);
   const double norm = 1.0 / static_cast<double>(period);
   ar.sxy.resize(period);

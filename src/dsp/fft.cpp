@@ -154,7 +154,7 @@ std::vector<double> circular_cross_correlation(std::span<const double> a,
     const auto fa = fft_real(a);
     const auto fb = fft_real(b);
     std::vector<cplx> prod(n);
-    for (std::size_t k = 0; k < n; ++k) prod[k] = std::conj(fa[k]) * fb[k];
+    multiply_spectra(fa, fb, prod, Conjugate::kFirst);
     const auto r = ifft(prod);
     std::vector<double> out(n);
     for (std::size_t k = 0; k < n; ++k) out[k] = r[k].real();
@@ -171,9 +171,7 @@ std::vector<double> circular_cross_correlation(std::span<const double> a,
   plan->transform(ws.t0, false, ws, ws.t1);  // fa
   for (std::size_t i = 0; i < n; ++i) ws.t0[i] = cplx(b[i], 0.0);
   plan->transform(ws.t0, false, ws, ws.t2);  // fb
-  for (std::size_t k = 0; k < n; ++k) {
-    ws.t0[k] = std::conj(ws.t1[k]) * ws.t2[k];
-  }
+  multiply_spectra(ws.t1, ws.t2, ws.t0, Conjugate::kFirst);
   plan->transform(ws.t0, true, ws, ws.t1);
   const double norm = 1.0 / static_cast<double>(n);
   std::vector<double> out(n);

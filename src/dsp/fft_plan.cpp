@@ -34,6 +34,20 @@ std::vector<cplx> build_pow2_twiddles(std::size_t n, bool inverse) {
   return tw;
 }
 
+// The butterflies and products below run over the interleaved double
+// view ([complex.numbers]) in std::complex's operation order, without
+// the __muldc3 NaN-recovery branch that keeps std::complex loops scalar
+// (contract in fft_plan.h). The equality with the std::complex oracle
+// holds only while no product is fused: gcc 12 SLP-vectorises these
+// multiply-add/sub pairs into vfmaddsub whenever FMA is enabled, even
+// under -ffp-contract=off. The guard lives here, not in a header:
+// cm_sim includes the dsp headers and is built with -mfma.
+#if defined(__FMA__)
+#error dsp/fft_plan.cpp must be built without FMA: gcc fuses the complex \
+multiply-add/sub pairs into vfmaddsub, which breaks the planned == planless \
+FFT bit-identity (keep cm_dsp off CLOCKMARK_HOT_PATH_OPTIONS)
+#endif
+
 void fft_pow2_tabulated(std::span<cplx> data,
                         std::span<const cplx> twiddles) {
   const std::size_t n = data.size();
@@ -50,19 +64,67 @@ void fft_pow2_tabulated(std::span<cplx> data,
     j ^= bit;
     if (i < j) std::swap(data[i], data[j]);
   }
-  std::size_t stage = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1u) {
-    const cplx* w_stage = twiddles.data() + stage;
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const cplx w = w_stage[k];
-        const cplx u = data[i + k];
-        const cplx v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
+  double* d = reinterpret_cast<double*>(data.data());
+  const double* tw = reinterpret_cast<const double*>(twiddles.data());
+  for (std::size_t half = 1; half < n; half <<= 1u) {
+    // Stage with butterflies of span 2*half; its twiddles start at
+    // complex index half - 1 (stages before it hold 1 + 2 + ... values).
+    const double* w = tw + 2 * (half - 1);
+    for (std::size_t i = 0; i < n; i += 2 * half) {
+      double* lo = d + 2 * i;
+      double* hi = lo + 2 * half;
+      for (std::size_t k = 0; k < 2 * half; k += 2) {
+        // v = x * w for the upper element x, then (u + v, u - v): the
+        // std::complex butterfly's operations, in its order.
+        const double xr = hi[k];
+        const double xi = hi[k + 1];
+        const double vr = xr * w[k] - xi * w[k + 1];
+        const double vi = xr * w[k + 1] + xi * w[k];
+        const double ur = lo[k];
+        const double ui = lo[k + 1];
+        lo[k] = ur + vr;
+        lo[k + 1] = ui + vi;
+        hi[k] = ur - vr;
+        hi[k + 1] = ui - vi;
       }
     }
-    stage += len / 2;
+  }
+}
+
+namespace {
+
+template <bool kConjA>
+void multiply_interleaved(const double* pa, const double* pb, double* po,
+                          std::size_t n) {
+  // Both components of a[k] and b[k] are read before out[k] is written,
+  // so out may alias a or b element for element.
+  for (std::size_t k = 0; k < 2 * n; k += 2) {
+    const double ar = pa[k];
+    // std::conj(a) * b: the conjugate's negated imaginary part enters
+    // the product like any other operand.
+    const double ai = kConjA ? -pa[k + 1] : pa[k + 1];
+    const double br = pb[k];
+    const double bi = pb[k + 1];
+    po[k] = ar * br - ai * bi;
+    po[k + 1] = ar * bi + ai * br;
+  }
+}
+
+}  // namespace
+
+void multiply_spectra(std::span<const cplx> a, std::span<const cplx> b,
+                      std::span<cplx> out, Conjugate conj_a) {
+  const std::size_t n = out.size();
+  if (a.size() != n || b.size() != n) {
+    throw std::invalid_argument("multiply_spectra: length mismatch");
+  }
+  const double* pa = reinterpret_cast<const double*>(a.data());
+  const double* pb = reinterpret_cast<const double*>(b.data());
+  double* po = reinterpret_cast<double*>(out.data());
+  if (conj_a == Conjugate::kFirst) {
+    multiply_interleaved<true>(pa, pb, po, n);
+  } else {
+    multiply_interleaved<false>(pa, pb, po, n);
   }
 }
 
@@ -134,13 +196,18 @@ void FftPlan::transform(std::span<const cplx> input, bool inverse,
   const auto& fftb = inverse ? fftb_inv_ : fftb_fwd_;
   auto& a = ws.conv;
   a.assign(m_, cplx(0.0, 0.0));
-  for (std::size_t k = 0; k < n_; ++k) a[k] = input[k] * w[k];
+  const std::span<cplx> head(a.data(), n_);
+  multiply_spectra(input, w, head);
   fft_pow2_tabulated(a, tw_fwd_);
-  for (std::size_t k = 0; k < m_; ++k) a[k] *= fftb[k];
+  multiply_spectra(a, fftb, a);
   fft_pow2_tabulated(a, tw_inv_);
+  // out = a * w * norm: the complex product, then the real scale, which
+  // std::complex applies to each component independently.
   const double norm = 1.0 / static_cast<double>(m_);
   out.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) out[k] = a[k] * w[k] * norm;
+  multiply_spectra(head, w, out);
+  double* o = reinterpret_cast<double*>(out.data());
+  for (std::size_t k = 0; k < 2 * n_; ++k) o[k] *= norm;
 }
 
 namespace {

@@ -10,9 +10,18 @@
 // Bit-exactness contract: a planned transform produces results that are
 // bit-identical to the planless fft()/ifft() reference, because the
 // tables are generated by the *same* floating-point recurrence the
-// planless code evaluates inline (see build_pow2_twiddles) and the
-// butterfly/convolution arithmetic is unchanged. Tests assert this for
-// power-of-two and Bluestein sizes.
+// planless code evaluates inline (see build_pow2_twiddles), and the
+// butterflies and pointwise products (fft_pow2_tabulated,
+// multiply_spectra) run in real arithmetic over the interleaved double
+// view, in the same operation order gcc lowers std::complex to:
+//   re = ar*br - ai*bi,  im = ar*bi + ai*br,  then u + v / u - v.
+// The one divergence from std::complex operator*: when *both* components
+// of a product come out NaN, gcc calls __muldc3, which may recover an
+// infinity; the real kernel keeps the NaNs. Both components cannot be
+// NaN for finite operands, so finite traces never reach it. The kernel
+// TU refuses to build with FMA enabled (see fft_plan.cpp). Tests assert
+// planned == planless for power-of-two and Bluestein sizes, and pin
+// absolute output bits for fixed inputs.
 //
 // Thread-safety contract:
 //   * FftPlan is written only by its constructor; all member functions
@@ -53,6 +62,19 @@ std::vector<cplx> build_pow2_twiddles(std::size_t n, bool inverse);
 /// (see build_pow2_twiddles). data.size() must match the table's size.
 void fft_pow2_tabulated(std::span<cplx> data,
                         std::span<const cplx> twiddles);
+
+/// Which operand of a pointwise product is conjugated.
+enum class Conjugate { kNone, kFirst };
+
+/// out[k] = a[k] * b[k] (or std::conj(a[k]) * b[k] for kFirst), bit for
+/// bit what the std::complex expression gives on finite operands (see
+/// the contract above). The one product loop of the planned path:
+/// Bluestein's chirp/kernel/output multiplies, circular correlation and
+/// the cached-pattern sweeps all route through it. All three spans have
+/// one length; out may alias a or b exactly (not partially).
+void multiply_spectra(std::span<const cplx> a, std::span<const cplx> b,
+                      std::span<cplx> out,
+                      Conjugate conj_a = Conjugate::kNone);
 
 class FftPlan {
  public:

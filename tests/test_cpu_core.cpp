@@ -266,6 +266,14 @@ struct CondCase {
   bool taken;
 };
 
+// gtest would otherwise name each case by a byte dump of the struct, which
+// includes the ASLR-randomised `branch` pointer, so the registered test
+// names would change from one build to the next.
+void PrintTo(const CondCase& cc, std::ostream* os) {
+  *os << cc.branch << " " << cc.lhs << " vs " << cc.rhs
+      << (cc.taken ? " taken" : " not taken");
+}
+
 class ConditionalBranches : public ::testing::TestWithParam<CondCase> {};
 
 TEST_P(ConditionalBranches, TakenWhenConditionHolds) {

@@ -23,27 +23,32 @@ TEST_P(RoundTrip, EncodeDecodeIdentity) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, RoundTrip,
-    ::testing::Values(
-        Instruction{Opcode::kNop, 0, 0, 0, 0, Cond::kAl},
-        Instruction{Opcode::kHalt, 0, 0, 0, 0, Cond::kAl},
-        Instruction{Opcode::kMovImm, 5, 0, 0, 0xffff, Cond::kAl},
-        Instruction{Opcode::kMovTop, 15, 0, 0, 0x1234, Cond::kAl},
-        Instruction{Opcode::kAdd, 1, 2, 3, 0, Cond::kAl},
-        Instruction{Opcode::kAddImm, 1, 2, 0, -2048, Cond::kAl},
-        Instruction{Opcode::kSubImm, 1, 2, 0, 2047, Cond::kAl},
-        Instruction{Opcode::kMul, 7, 8, 9, 0, Cond::kAl},
-        Instruction{Opcode::kLdr, 3, 13, 0, 1020, Cond::kAl},
-        Instruction{Opcode::kStrb, 3, 4, 0, -1, Cond::kAl},
-        Instruction{Opcode::kPush, 0, 0, 0, 0x80f0, Cond::kAl},
-        Instruction{Opcode::kPop, 0, 0, 0, 0x80f0, Cond::kAl},
-        Instruction{Opcode::kB, 0, 0, 0, -100000, Cond::kAl},
-        Instruction{Opcode::kB, 0, 0, 0, 524287, Cond::kAl},
-        Instruction{Opcode::kBl, 0, 0, 0, -1, Cond::kAl},
-        Instruction{Opcode::kBc, 0, 0, 0, -32768, Cond::kLt},
-        Instruction{Opcode::kBc, 0, 0, 0, 32767, Cond::kNe},
-        Instruction{Opcode::kBx, 0, 14, 0, 0, Cond::kAl}));
+// Static storage zero-fills the three padding bytes after `cond`, so
+// gtest's byte dump of each parameter -- and with it the test name that
+// gtest_discover_tests registers -- is the same on every run. Temporaries
+// built in place would leave stack garbage in that padding.
+const Instruction kShapes[] = {
+    Instruction{Opcode::kNop, 0, 0, 0, 0, Cond::kAl},
+    Instruction{Opcode::kHalt, 0, 0, 0, 0, Cond::kAl},
+    Instruction{Opcode::kMovImm, 5, 0, 0, 0xffff, Cond::kAl},
+    Instruction{Opcode::kMovTop, 15, 0, 0, 0x1234, Cond::kAl},
+    Instruction{Opcode::kAdd, 1, 2, 3, 0, Cond::kAl},
+    Instruction{Opcode::kAddImm, 1, 2, 0, -2048, Cond::kAl},
+    Instruction{Opcode::kSubImm, 1, 2, 0, 2047, Cond::kAl},
+    Instruction{Opcode::kMul, 7, 8, 9, 0, Cond::kAl},
+    Instruction{Opcode::kLdr, 3, 13, 0, 1020, Cond::kAl},
+    Instruction{Opcode::kStrb, 3, 4, 0, -1, Cond::kAl},
+    Instruction{Opcode::kPush, 0, 0, 0, 0x80f0, Cond::kAl},
+    Instruction{Opcode::kPop, 0, 0, 0, 0x80f0, Cond::kAl},
+    Instruction{Opcode::kB, 0, 0, 0, -100000, Cond::kAl},
+    Instruction{Opcode::kB, 0, 0, 0, 524287, Cond::kAl},
+    Instruction{Opcode::kBl, 0, 0, 0, -1, Cond::kAl},
+    Instruction{Opcode::kBc, 0, 0, 0, -32768, Cond::kLt},
+    Instruction{Opcode::kBc, 0, 0, 0, 32767, Cond::kNe},
+    Instruction{Opcode::kBx, 0, 14, 0, 0, Cond::kAl},
+};
+
+INSTANTIATE_TEST_SUITE_P(Shapes, RoundTrip, ::testing::ValuesIn(kShapes));
 
 TEST(Encode, RangeChecks) {
   EXPECT_THROW(encode({Opcode::kMovImm, 5, 0, 0, 0x10000, Cond::kAl}),

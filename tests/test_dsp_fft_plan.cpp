@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
+#include "cpa/spread_spectrum.h"
 #include "dsp/fft.h"
+#include "sync/search.h"
+#include "sync/types.h"
 #include "util/rng.h"
 
 namespace clockmark::dsp {
@@ -136,6 +143,143 @@ TEST(FftPlan, ConcurrentTransformsShareOnePlan) {
   }
   for (auto& th : threads) th.join();
   for (const auto& result : results) expect_bitwise_equal(result, reference);
+}
+
+TEST(FftPlan, PlannedMatchesPlanlessConvolutionLengths) {
+  // The power-of-two sizes Bluestein convolves at: m = 4096 for
+  // P = 1023 (and up), 8192 for the paper's P = 4095, 16384 beyond.
+  for (const std::size_t n : {4096u, 8192u, 16384u}) {
+    const auto x = random_signal(n, 0xA0 + n);
+    expect_bitwise_equal(fft(x), fft_unplanned(x, false));
+    auto ref = fft_unplanned(x, true);
+    const double norm = 1.0 / static_cast<double>(n);
+    for (auto& v : ref) v *= norm;
+    expect_bitwise_equal(ifft(x), ref);
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(FftPlan, MultiplySpectraMatchesComplexOperators) {
+  // Finite edge operands: signed zeros, subnormals, magnitudes whose
+  // products overflow to infinity (and whose differences turn NaN) or
+  // underflow, in every sign combination. The std::complex expressions
+  // are the reference, compared bit for bit.
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> edges = {
+      0.0,    -0.0,    sub,    -sub,   2.5e-310, -2.5e-310,
+      1e300,  -1e300,  1e-300, -1e-300, 1.0,     -3.25};
+  std::vector<cplx> a;
+  for (const double re : edges) {
+    for (const double im : edges) a.emplace_back(re, im);
+  }
+  const std::size_t n = a.size() * a.size();
+  std::vector<cplx> lhs(n);
+  std::vector<cplx> rhs(n);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      lhs[i * a.size() + j] = a[i];
+      rhs[i * a.size() + j] = a[j];
+    }
+  }
+  std::vector<cplx> prod(n);
+  std::vector<cplx> conj_prod(n);
+  multiply_spectra(lhs, rhs, prod);
+  multiply_spectra(lhs, rhs, conj_prod, Conjugate::kFirst);
+  for (std::size_t k = 0; k < n; ++k) {
+    const cplx p = lhs[k] * rhs[k];
+    const cplx c = std::conj(lhs[k]) * rhs[k];
+    ASSERT_TRUE(same_bits(prod[k].real(), p.real())) << "index " << k;
+    ASSERT_TRUE(same_bits(prod[k].imag(), p.imag())) << "index " << k;
+    ASSERT_TRUE(same_bits(conj_prod[k].real(), c.real())) << "index " << k;
+    ASSERT_TRUE(same_bits(conj_prod[k].imag(), c.imag())) << "index " << k;
+  }
+  // In place (out aliasing a) gives the same bits.
+  multiply_spectra(lhs, rhs, lhs, Conjugate::kFirst);
+  for (std::size_t k = 0; k < n; ++k) {
+    ASSERT_TRUE(same_bits(lhs[k].real(), conj_prod[k].real()));
+    ASSERT_TRUE(same_bits(lhs[k].imag(), conj_prod[k].imag()));
+  }
+}
+
+// FNV-1a over the bytes of each double, in order.
+std::uint64_t hash_doubles(std::span<const double> v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double x : v) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &x, sizeof(double));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// One period of a 0/1 model pattern and a capture carrying it at a
+// fixed rotation under unit Gaussian noise, both from fixed Pcg32 seeds.
+std::vector<double> golden_pattern(std::size_t period) {
+  util::Pcg32 rng(0x601D + period);
+  std::vector<double> pattern(period);
+  for (auto& v : pattern) v = static_cast<double>(rng.bounded(2));
+  return pattern;
+}
+
+std::vector<double> golden_capture(std::span<const double> pattern,
+                                   std::size_t cycles, double step) {
+  util::Pcg32 rng(0xCA97 + pattern.size());
+  std::vector<double> y(cycles);
+  for (std::size_t k = 0; k < cycles; ++k) {
+    // step != 1 desynchronises the capture's clock from the pattern's.
+    const auto phase = static_cast<std::size_t>(
+        std::floor(17.0 + step * static_cast<double>(k)));
+    y[k] = 0.1 * pattern[phase % pattern.size()] + rng.gaussian();
+  }
+  return y;
+}
+
+// Absolute output bits, recorded with the std::complex kernel this
+// real-arithmetic kernel replaced (gcc 12.2.0 -O2, glibc 2.36, x86-64
+// with AVX2/FMA for the hot-path Gaussian fill). Planned == planless
+// only pins the two paths to each other; these pin both to the bits the
+// library produced before. Another toolchain or libm may legitimately
+// need new values (cos/sin feed the twiddle tables).
+TEST(FftPlan, GoldenSpreadSpectrumBits) {
+  const struct {
+    std::size_t period;
+    std::uint64_t rho_hash;
+  } cases[] = {{1023, 0xe1f4fd6f80d9fbdbULL},
+                {4095, 0x1b2c7b0db2d1432fULL}};
+  for (const auto& c : cases) {
+    const auto pattern = golden_pattern(c.period);
+    const auto y = golden_capture(pattern, 5 * c.period + 321, 1.0);
+    const auto ss = cpa::compute_spread_spectrum(y, pattern);
+    EXPECT_EQ(ss.peak_rotation, 17u) << "period " << c.period;
+    EXPECT_EQ(hash_doubles(ss.rho), c.rho_hash)
+        << "period " << c.period << ": got 0x" << std::hex
+        << hash_doubles(ss.rho);
+  }
+}
+
+TEST(FftPlan, GoldenFindSyncBits) {
+  const auto pattern = golden_pattern(1023);
+  const auto y = golden_capture(pattern, 20000, 1.0 + 60e-6);
+  const sync::SyncEstimate est = sync::find_sync(y, pattern);
+  EXPECT_TRUE(est.locked);
+  const std::vector<double> fields = {
+      est.correction.offset_cycles,
+      est.correction.ratio,
+      est.correction.drift,
+      static_cast<double>(est.peak_rotation),
+      est.offset_cycles,
+      est.peak_z,
+      est.confidence,
+      est.locked ? 1.0 : 0.0,
+      static_cast<double>(est.evaluations)};
+  EXPECT_EQ(hash_doubles(fields), 0x6d28f0216dbfb524ULL)
+      << "got 0x" << std::hex << hash_doubles(fields);
 }
 
 }  // namespace
