@@ -20,6 +20,9 @@ The comparison is still printed, so the change being baked in is
 visible in the terminal.
 
 Comparison rules (kept deliberately small):
+  * the top-level "threads" of baseline and current must match, else
+    the gate fails before comparing anything (timings at different
+    worker counts are different measurements),
   * records are matched by "name"; a record present only on one side is
     reported but never fails the gate (benches grow new cases),
   * higher-is-better metrics (anything ending in "_per_sec" or named
@@ -63,6 +66,7 @@ def classify(metric):
 
 
 def load_records(path):
+    """Returns (bench name, thread count or None, {record: metrics})."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     records = {}
@@ -76,7 +80,7 @@ def load_records(path):
             if k != "name" and isinstance(v, (int, float))
         }
         records[name] = metrics
-    return doc.get("bench", "?"), records
+    return doc.get("bench", "?"), doc.get("threads"), records
 
 
 def main(argv):
@@ -114,12 +118,12 @@ def main(argv):
     )
     args = parser.parse_args(argv)
 
-    bench_cur, current = load_records(args.current)
+    bench_cur, threads_cur, current = load_records(args.current)
     if os.path.exists(args.baseline):
-        bench_base, baseline = load_records(args.baseline)
+        bench_base, threads_base, baseline = load_records(args.baseline)
     elif args.update:
         # First recording of a new bench: nothing to compare against.
-        bench_base, baseline = bench_cur, {}
+        bench_base, threads_base, baseline = bench_cur, threads_cur, {}
     else:
         print(f"perf gate: missing baseline {args.baseline}",
               file=sys.stderr)
@@ -128,6 +132,17 @@ def main(argv):
         print(
             f"perf gate: comparing different benches "
             f"('{bench_base}' baseline vs '{bench_cur}' current)",
+            file=sys.stderr,
+        )
+        return 1
+    if threads_base != threads_cur and not args.update:
+        # Timings at different thread counts are different measurements:
+        # a 4-thread run would hide a 2x single-thread regression.
+        print(
+            f"perf gate: {bench_cur}: thread count mismatch (baseline "
+            f"{args.baseline} has threads={threads_base}, current "
+            f"{args.current} has threads={threads_cur}); rerun the bench "
+            f"with --threads={threads_base}",
             file=sys.stderr,
         )
         return 1

@@ -22,9 +22,12 @@ echo "=== tier-1: bench smoke (perf binaries + --json records) ==="
 # Optimized-build smoke of the perf-tracking binaries: a minimal
 # google-benchmark sweep plus the fig6/stream/acquisition JSON writers,
 # so the bench targets and their machine-readable output can't silently
-# rot. Thread counts come from the box itself (clamped to >= 1) rather
-# than assuming a multi-core host; steps that *measure* parallel scaling
-# self-skip below when only one hardware thread exists.
+# rot. Every gated smoke runs at --threads=1: the committed baselines
+# are single-thread records, and perf_gate.py refuses a thread-count
+# mismatch (on a multi-core box a wider run would hide a single-thread
+# regression). Ungated steps take their thread count from the box
+# (clamped to >= 1); steps that *measure* parallel scaling self-skip
+# below when only one hardware thread exists.
 SMOKE_DIR=build/bench_smoke
 SMOKE_THREADS="$(nproc)"
 [[ "${SMOKE_THREADS}" -ge 1 ]] || SMOKE_THREADS=1
@@ -44,16 +47,16 @@ fi
 # pass on this box swings by tens of percent under neighbouring load,
 # which a 25% gate margin cannot absorb.
 ./build/bench/fig6_repeatability --reps=2 --cycles=20000 --trials=3 \
-  --threads="${SMOKE_THREADS}" --out="${SMOKE_DIR}/fig6" \
+  --threads=1 --out="${SMOKE_DIR}/fig6" \
   --json="${SMOKE_DIR}/BENCH_fig6.json" > "${SMOKE_DIR}/fig6.log"
 ./build/bench/abl_stream_latency --cycles=32768 --chunk=2048 --trials=3 \
-  --threads="${SMOKE_THREADS}" --out="${SMOKE_DIR}/stream" \
+  --threads=1 --out="${SMOKE_DIR}/stream" \
   --json="${SMOKE_DIR}/BENCH_stream.json" > "${SMOKE_DIR}/stream.log"
-./build/bench/abl_acq_speed --reps=2 --cycles=60000 --trials=3 \
+./build/bench/abl_acq_speed --reps=2 --cycles=60000 --trials=3 --threads=1 \
   --out="${SMOKE_DIR}/acq" \
   --json="${SMOKE_DIR}/BENCH_acq.json" > "${SMOKE_DIR}/acq.log"
 ./build/bench/abl_sync_search --reps=2 --cycles=60000 \
-  --threads="${SMOKE_THREADS}" --out="${SMOKE_DIR}/sync" \
+  --threads=1 --out="${SMOKE_DIR}/sync" \
   --json="${SMOKE_DIR}/BENCH_sync.json" > "${SMOKE_DIR}/sync.log"
 # --threads=1 regardless of the box: the committed BENCH_service.json
 # baseline is a single-worker record, and service throughput scales with

@@ -1,31 +1,45 @@
-// Repetition-batched CPA sweep engine: everything compute_spread_spectrum
-// recomputes per repetition, computed once per study instead.
+// The pattern-bound CPA sweep core: every FFT-form rotation sweep
+// against one watermark pattern — batch repetitions, blind-sync
+// candidate scores and streamed checkpoints — runs through one
+// SpectrumEngine.
 //
-// A repeatability study sweeps R traces against the *same* watermark
-// pattern, and most of the FFT-path sweep does not depend on the trace:
+// Most of an FFT-path sweep does not depend on the trace:
 //   * the FFT plan registry lookup (mutex + hash per transform),
-//   * the forward FFT of the pattern (the fb side of the sxy circular
-//     correlation),
-//   * the sx / sxx circular correlations, which depend only on the
-//     trace *length* — the fold's counts are n/P + (p < n mod P),
-// plus a fresh allocation for the fold, the sxy vector and the rho
-// sweep on every call. SpectrumEngine hoists all of it — the same
-// recipe sync::CandidateEngine applies to blind-sync scoring, here
-// returning the full SpreadSpectrum (rho vector included) the
-// detection path consumes. Per repetition this leaves one forward +
-// one inverse FFT instead of seven transforms.
+//   * the forward FFTs of the pattern and of the squared pattern (the
+//     fb sides of the sxy / sxx circular correlations),
+//   * the sx / sxx correlations, which depend only on the fold's counts
+//     — n/P + (p < n mod P) for a fold built from phase 0, so a
+//     function of the trace *length* alone.
+// The engine holds the plan and both pattern spectra for its life.
+// sx and sxx come from one derivation: one forward FFT of the counts
+// multiplied against the two cached spectra, then two inverse FFTs.
+// The trace side is one forward + one inverse FFT of the fold sums.
 //
-// Bit-exactness contract (tests/test_sim_batch.cpp): sweep(y, guard)
-// returns exactly compute_spread_spectrum(y, pattern(), kFft, guard) —
-// same rho bits, same summary statistics, same validation errors. The
-// cached pattern FFT and per-length sx/sxx come from the identical
-// planned-transform arithmetic circular_cross_correlation runs inline;
-// patterns beyond the plan registry's cap fall back to the planless
+// Length memo: lengths recur in batch sweeps (every repetition of a
+// study has the same n) and in candidate scoring (a handful of warped
+// lengths across ~140 candidates), so sweep() and sweep_into() keep sx
+// / sxx per length behind a mutex — 2 transforms per sweep once warm.
+// sweep_from_fold() serves streamed checkpoints, which see a new n
+// every time (n = chunk·k); it derives sx / sxx afresh (5 transforms)
+// and retains nothing, so a stream never grows the memo.
+//
+// Bit-exactness contract: the cached spectra and per-sweep transforms
+// are the very planned-transform arithmetic circular_cross_correlation
+// runs inline (deterministic, so computing the pattern side once is
+// unobservable), and the assembly is dsp's shared routine. Hence
+//   * sweep(y, guard) == compute_spread_spectrum(y, pattern(), kFft,
+//     guard), validation errors included;
+//   * sweep_from_fold(fold) == dsp::rotation_correlation_fft_from_fold(
+//     fold, pattern()), for any fold;
+// asserted by tests/test_sim_batch.cpp, tests/test_sweep_core.cpp and
+// the sync / stream suites that reach the core through their engines.
+// Patterns beyond the plan registry's cap (period >
+// dsp::kMaxPlannedFftSize) fall back to the planless
 // rotation_correlation_fft_from_fold, again bit-identical.
 //
-// Thread-safety: sweep() is const and race-free — the per-length cache
-// sits behind a mutex (values are immutable once built; a duplicate
-// build under contention produces identical bits), scratch lives in
+// Thread-safety: every member is const and race-free — the memo sits
+// behind a mutex (values are immutable once built; a duplicate build
+// under contention produces identical bits), scratch lives in
 // thread_local arenas, and the FFT plan is immutable.
 #pragma once
 
@@ -37,6 +51,7 @@
 #include <vector>
 
 #include "cpa/spread_spectrum.h"
+#include "dsp/correlate.h"
 #include "dsp/fft.h"
 
 namespace clockmark::dsp {
@@ -55,30 +70,50 @@ class SpectrumEngine {
 
   /// One repetition's sweep + summary, bit-identical to
   /// compute_spread_spectrum(y, pattern(), CorrelationMethod::kFft,
-  /// guard) including its input validation.
+  /// guard) including its input validation. Memoises sx / sxx for
+  /// y.size().
   SpreadSpectrum sweep(std::span<const double> y, std::size_t guard) const;
 
+  /// Folds `y` from phase 0 and writes rho for every rotation into
+  /// `rho` (size pattern().size()), memoising sx / sxx for y.size().
+  /// Throws when y is shorter than one period.
+  void sweep_into(std::span<const double> y, std::span<double> rho) const;
+
+  /// rho for every rotation from an accumulated fold, bit-identical to
+  /// dsp::rotation_correlation_fft_from_fold(fold, pattern()) including
+  /// its validation. Nothing is memoised (see header).
+  std::vector<double> sweep_from_fold(const dsp::PhaseFold& fold) const;
+
+  /// Number of lengths in the memo (for tests).
+  std::size_t memoised_lengths() const;
+
  private:
-  /// The rotation-sweep inputs that depend only on the trace length:
-  /// sx[r] / sxx[r] as rotation_correlation_fft_from_fold computes them
-  /// from the fold's counts.
+  /// The rotation-sweep inputs that depend only on the fold's counts.
   struct LengthStats {
     std::vector<double> sx;
     std::vector<double> sxx;
   };
-  std::shared_ptr<const LengthStats> length_stats(std::size_t n) const;
+  /// sx / sxx for `counts` (3 transforms; plan_ must be non-null).
+  void derive_length_stats(std::span<const std::size_t> counts,
+                           std::vector<double>& sx,
+                           std::vector<double>& sxx) const;
+  /// The memo entry for fold.n, derived from fold.counts on a miss.
+  std::shared_ptr<const LengthStats> memo_length_stats(
+      const dsp::PhaseFold& fold) const;
+  void from_fold(const dsp::PhaseFold& fold, std::span<double> rho,
+                 bool memoize) const;
 
   std::vector<double> pattern_;
-  std::vector<double> pattern_sq_;
   /// Plan for the period-length transforms; nullptr when the period
-  /// exceeds the registry cap (sweep() then runs the planless path).
+  /// exceeds the registry cap (every sweep then runs the planless path).
   std::shared_ptr<const dsp::FftPlan> plan_;
-  std::vector<dsp::cplx> fft_pattern_;  ///< forward FFT of the pattern
+  std::vector<dsp::cplx> fft_pattern_;     ///< forward FFT of the pattern
+  std::vector<dsp::cplx> fft_pattern_sq_;  ///< ... and of its square
 
   mutable std::mutex mu_;
   mutable std::unordered_map<std::size_t,
                              std::shared_ptr<const LengthStats>>
-      stats_;
+      memo_;
 };
 
 }  // namespace clockmark::cpa

@@ -1,14 +1,15 @@
 // Shared, size-capped LRU cache of sync::CandidateEngine instances,
 // keyed by the watermark pattern they were built for.
 //
-// Why it exists: a CandidateEngine front-loads the expensive part of a
-// blind-sync search (the pattern's FFT, per-length fold statistics,
-// scoring arenas — see sync/engine.h), so reusing one across runs is
-// the difference between paying that cost once per pattern and once per
-// search. detect::Session has always shared one engine between its
-// copies; a long-running process (the cm_serve detection service) runs
-// jobs for *many* patterns through *many* sessions, which needs the
-// cache to be shareable, bounded, and observable:
+// Why it exists: a CandidateEngine carries the pattern's sweep core
+// (cpa::SpectrumEngine: the plan, the pattern spectra and the per-length
+// fold statistics) that every streamed checkpoint and blind-sync score
+// runs on, so reusing one across runs is the difference between paying
+// that cost once per pattern and once per run. detect::Session has
+// always shared one engine between its copies; a long-running process
+// (the cm_serve detection service) runs jobs for *many* patterns
+// through *many* sessions, which needs the cache to be shareable,
+// bounded, and observable:
 //
 //   * bounded — at most `capacity` engines are retained; inserting past
 //     the cap evicts the least-recently-used entry, so a daemon fed a

@@ -135,11 +135,10 @@ stream::StreamPipelineConfig Session::pipeline_config(
   stream::StreamPipelineConfig cfg;
   cfg.queue_capacity = request.streaming.queue_capacity;
   cfg.detector = stream_detector_config(request);
-  // Blind streams reuse the session's cached engine for the lock; the
-  // lock itself is bit-identical either way (same pattern, same search).
-  if (request.sync == sync::SyncPolicy::kBlind) {
-    cfg.detector.engine = engine_cache_->acquire(pattern_);
-  }
+  // Every stream reuses the session's cached engine: its sweep core
+  // serves the checkpoints, and kBlind locks score on it. Bit-identical
+  // either way (same pattern, same arithmetic).
+  cfg.detector.engine = engine_cache_->acquire(pattern_);
   return cfg;
 }
 

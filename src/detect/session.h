@@ -163,7 +163,7 @@ class Session {
   const Request& request() const noexcept { return request_; }
   const std::vector<double>& pattern() const noexcept { return pattern_; }
   /// The shared engine cache (never null). Its stats answer "how often
-  /// did runs reuse a blind-search engine?".
+  /// did runs reuse a pattern engine?".
   const std::shared_ptr<EngineCache>& engines() const noexcept {
     return engine_cache_;
   }

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "dsp/fft_plan.h"
 #include "serve/job.h"
 #include "sim/scenario.h"
 #include "sync/engine.h"
@@ -61,41 +60,7 @@ ResourceBroker::ResourceBroker(BrokerConfig config)
 
 std::shared_ptr<const sim::Scenario> ResourceBroker::scenario(
     const std::string& tenant, const ScenarioRef& ref, bool* hit) {
-  auto value = acquire(tenant, scenario_key(ref), hit, scenario_bytes(ref),
-                       [&ref]() -> std::shared_ptr<const void> {
-                         return std::make_shared<const sim::Scenario>(
-                             to_scenario_config(ref));
-                       });
-  return std::static_pointer_cast<const sim::Scenario>(std::move(value));
-}
-
-std::shared_ptr<const sync::CandidateEngine> ResourceBroker::engine(
-    const std::string& tenant, std::span<const double> pattern, bool* hit) {
-  (void)tenant;  // engines are keyed by pattern; tenants share freely
-  return engines_->acquire(pattern, hit);
-}
-
-std::shared_ptr<const dsp::FftPlan> ResourceBroker::plan(
-    const std::string& tenant, std::size_t n, bool* hit) {
-  if (n == 0 || n > dsp::kMaxPlannedFftSize) {
-    if (hit != nullptr) *hit = false;
-    return nullptr;
-  }
-  // Route through dsp::get_fft_plan so the broker's handle is the same
-  // plan every other caller sees; the broker entry pins it and makes
-  // plan reuse visible in the unified accounting. The size estimate is
-  // ~4 complex doubles per point (twiddles both directions + scratch).
-  auto value = acquire(tenant, "plan:" + std::to_string(n), hit,
-                       n * 8 * sizeof(double),
-                       [n]() -> std::shared_ptr<const void> {
-                         return dsp::get_fft_plan(n);
-                       });
-  return std::static_pointer_cast<const dsp::FftPlan>(std::move(value));
-}
-
-std::shared_ptr<const void> ResourceBroker::acquire(
-    const std::string& tenant, const std::string& key, bool* hit,
-    std::size_t bytes, const std::function<std::shared_ptr<const void>()>& build) {
+  const std::string key = scenario_key(ref);
   std::unique_lock<std::mutex> lock(mu_);
   ++clock_;
   for (Entry& entry : entries_) {
@@ -113,7 +78,7 @@ std::shared_ptr<const void> ResourceBroker::acquire(
   // of the same key is wasteful-but-correct (deterministic value); the
   // re-check below keeps only one copy.
   lock.unlock();
-  std::shared_ptr<const void> value = build();
+  auto value = std::make_shared<const sim::Scenario>(to_scenario_config(ref));
   lock.lock();
   ++clock_;
   for (Entry& entry : entries_) {
@@ -122,6 +87,7 @@ std::shared_ptr<const void> ResourceBroker::acquire(
       return entry.value;
     }
   }
+  const std::size_t bytes = scenario_bytes(ref);
   const bool fits_global = make_room(bytes);
   const bool fits_quota =
       fits_global && make_tenant_room(tenant, bytes);
@@ -135,6 +101,12 @@ std::shared_ptr<const void> ResourceBroker::acquire(
   usage.bytes += bytes;
   usage.entries += 1;
   return value;
+}
+
+std::shared_ptr<const sync::CandidateEngine> ResourceBroker::engine(
+    const std::string& tenant, std::span<const double> pattern, bool* hit) {
+  (void)tenant;  // engines are keyed by pattern; tenants share freely
+  return engines_->acquire(pattern, hit);
 }
 
 bool ResourceBroker::make_room(std::size_t need) {

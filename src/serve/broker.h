@@ -3,17 +3,19 @@
 // M jobs pay for each artefact once — under explicit limits — instead
 // of M×N times.
 //
-// Three artefact classes, two stores:
-//   * sync::CandidateEngine instances (blind-search pattern tables) —
-//     delegated to a shared detect::EngineCache, which is already the
-//     size-capped LRU the detection layer uses; the broker adds the
-//     per-job hit telemetry.
+// Two artefact classes, two stores:
+//   * sync::CandidateEngine instances (a pattern's sweep core plus the
+//     blind-search warp step) — delegated to a shared
+//     detect::EngineCache, which is already the size-capped LRU the
+//     detection layer uses; the broker adds the per-job hit telemetry.
 //   * sim::Scenario memos (the gate-level characterisation behind a
 //     ScenarioRef — hundreds of ms to build, shared across repetitions)
-//     and dsp::FftPlan handles — kept in a unified byte-accounted LRU
-//     store with a global cap and per-tenant quotas.
+//     — kept in a byte-accounted LRU store with a global cap and
+//     per-tenant quotas.
+// FFT plans need no broker entry: dsp::get_fft_plan already keeps the
+// process-wide registry, and each engine holds its plan.
 //
-// Governance rules of the unified store:
+// Governance rules of the scenario store:
 //   * ref-counted pinning: an entry whose shared_ptr is still held by a
 //     running job (use_count > 1) is never evicted — eviction only
 //     drops the broker's reference, so nothing a job is using dies
@@ -35,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,10 +45,6 @@
 #include <vector>
 
 #include "detect/engine_cache.h"
-
-namespace clockmark::dsp {
-class FftPlan;
-}
 
 namespace clockmark::sim {
 class Scenario;
@@ -70,10 +67,10 @@ sim::ScenarioConfig to_scenario_config(const ScenarioRef& ref);
 struct BrokerConfig {
   /// Engines retained by the shared detect::EngineCache.
   std::size_t engine_capacity = detect::EngineCache::kDefaultCapacity;
-  /// Unified store caps (scenario memos + plan handles).
+  /// Scenario store caps.
   std::size_t max_bytes = 256u << 20u;  ///< 256 MiB of estimated memo size
   std::size_t max_entries = 32;
-  /// Per-tenant byte quota in the unified store; 0 = no quota.
+  /// Per-tenant byte quota in the scenario store; 0 = no quota.
   std::size_t tenant_max_bytes = 0;
 };
 
@@ -84,8 +81,8 @@ struct TenantUsage {
 
 struct BrokerStats {
   detect::EngineCacheStats engines;
-  std::size_t hits = 0;        ///< unified-store hits
-  std::size_t misses = 0;      ///< unified-store builds
+  std::size_t hits = 0;        ///< scenario-store hits
+  std::size_t misses = 0;      ///< scenario-store builds
   std::size_t evictions = 0;   ///< entries dropped by caps/quota
   std::size_t uncached = 0;    ///< built but not retained (quota pressure)
   std::size_t bytes = 0;       ///< estimated bytes currently retained
@@ -105,19 +102,10 @@ class ResourceBroker {
                                                 const ScenarioRef& ref,
                                                 bool* hit = nullptr);
 
-  /// The blind-search engine for `pattern`, via the shared EngineCache.
+  /// The engine for `pattern`, via the shared EngineCache.
   std::shared_ptr<const sync::CandidateEngine> engine(
       const std::string& tenant, std::span<const double> pattern,
       bool* hit = nullptr);
-
-  /// A pinned FFT-plan handle for transform size n (nullptr when the
-  /// registry declines — n == 0 or beyond dsp::kMaxPlannedFftSize).
-  /// dsp::get_fft_plan already keeps a process-wide registry; the
-  /// broker's entry pins the handle so plan reuse shows up in the same
-  /// accounting as every other shared artefact.
-  std::shared_ptr<const dsp::FftPlan> plan(const std::string& tenant,
-                                           std::size_t n,
-                                           bool* hit = nullptr);
 
   /// The engine cache itself — Sessions constructed for service jobs
   /// share it directly.
@@ -130,17 +118,11 @@ class ResourceBroker {
  private:
   struct Entry {
     std::string key;
-    std::shared_ptr<const void> value;
+    std::shared_ptr<const sim::Scenario> value;
     std::size_t bytes = 0;
     std::string tenant;  ///< who caused the build (quota accounting)
     std::uint64_t last_use = 0;
   };
-
-  /// Returns the cached value for `key` or builds it via `build` and
-  /// retains it (at an estimated `bytes`) subject to caps and quota.
-  std::shared_ptr<const void> acquire(
-      const std::string& tenant, const std::string& key, bool* hit,
-      std::size_t bytes, const std::function<std::shared_ptr<const void>()>& build);
 
   /// Evicts unpinned LRU entries until `need` more bytes and one more
   /// entry fit under the global caps; returns false when pinned entries

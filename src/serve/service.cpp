@@ -278,10 +278,8 @@ void DetectionService::run_job(const std::shared_ptr<JobState>& state) {
       eff.lock_cycles = std::numeric_limits<std::size_t>::max();
     }
     stream::OnlineDetectorConfig cfg = detect::stream_detector_config(eff);
-    if (eff.sync == sync::SyncPolicy::kBlind) {
-      cfg.engine =
-          broker_->engine(spec.tenant, pattern, &result.cache.engine_hit);
-    }
+    cfg.engine =
+        broker_->engine(spec.tenant, pattern, &result.cache.engine_hit);
     stream::OnlineDetector detector(pattern, cfg);
 
     // --- The chunk loop: every governance hook lives here. ---

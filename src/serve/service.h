@@ -20,7 +20,7 @@
 //                      jobs are pulled straight out of the queue.
 //   budgets            JobSpec::max_cycles stops feeding after the
 //                      budget and decides on what was ingested.
-//   shared caches      scenario memos and blind-search engines come
+//   shared caches      scenario memos and pattern engines come
 //                      from the ResourceBroker; per-job hit telemetry
 //                      rides back on the JobResult.
 //   backpressure       the queue is bounded; submit() blocks (or

@@ -8,11 +8,24 @@
 #include "sync/search.h"
 
 namespace clockmark::stream {
+namespace {
+
+std::shared_ptr<const sync::CandidateEngine> engine_for(
+    std::vector<double> pattern,
+    const std::shared_ptr<const sync::CandidateEngine>& configured) {
+  if (configured != nullptr && configured->pattern() == pattern) {
+    return configured;
+  }
+  return std::make_shared<const sync::CandidateEngine>(std::move(pattern));
+}
+
+}  // namespace
 
 OnlineDetector::OnlineDetector(std::vector<double> pattern,
                                OnlineDetectorConfig config)
     : config_(config),
-      accumulator_(std::move(pattern)),
+      engine_(engine_for(std::move(pattern), config.engine)),
+      accumulator_(engine_->spectrum()),
       detector_(config.policy),
       min_cycles_(config.min_cycles == 0 ? accumulator_.pattern().size()
                                          : config.min_cycles),
@@ -33,15 +46,6 @@ OnlineDetector::OnlineDetector(std::vector<double> pattern,
   if (config_.sync_policy == sync::SyncPolicy::kKnownOffset &&
       !config_.known_warp.is_identity()) {
     warper_ = std::make_unique<sync::StreamWarper>(config_.known_warp);
-  }
-  if (config_.sync_policy == sync::SyncPolicy::kBlind) {
-    if (config_.engine != nullptr &&
-        config_.engine->pattern() == accumulator_.pattern()) {
-      engine_ = config_.engine;
-    } else {
-      engine_ = std::make_shared<const sync::CandidateEngine>(
-          accumulator_.pattern());
-    }
   }
 }
 

@@ -82,11 +82,13 @@ struct OnlineDetectorConfig {
   /// the lock runs on everything ingested at finalize() — which is the
   /// batch-identical configuration when set >= the stream length.
   std::size_t lock_cycles = 0;
-  /// kBlind: pre-built scoring engine to use for the lock instead of
-  /// constructing a fresh one — lets Sessions and services amortise the
-  /// engine's pattern tables across detectors (detect::EngineCache).
-  /// Used only when it was built for this detector's pattern; scores
-  /// are engine-state-independent, so sharing is bit-identical.
+  /// Pre-built engine for this pattern, used under every sync policy:
+  /// its sweep core (cpa::SpectrumEngine) serves the accumulator's
+  /// checkpoint sweeps, and under kBlind the engine scores the lock.
+  /// Lets Sessions and services amortise the pattern tables across
+  /// detectors (detect::EngineCache). Used only when it was built for
+  /// this detector's pattern; sweeps and scores are engine-state-
+  /// independent, so sharing is bit-identical.
   std::shared_ptr<const sync::CandidateEngine> engine;
 };
 
@@ -139,6 +141,9 @@ class OnlineDetector {
   void feed_warped(std::span<const double> values);
 
   OnlineDetectorConfig config_;
+  /// config.engine when it matches the pattern, else a private one:
+  /// the accumulator's sweep core and (kBlind) the lock's scorer.
+  std::shared_ptr<const sync::CandidateEngine> engine_;
   cpa::RotationAccumulator accumulator_;
   cpa::Detector detector_;
   OnlineDecision decision_;
@@ -149,10 +154,6 @@ class OnlineDetector {
   bool finalized_ = false;
   bool locked_ = false;                ///< the blind lock has run
   std::vector<double> lock_buffer_;    ///< raw cycles awaiting the lock
-  /// kBlind only: candidate scoring engine for the lock, built once at
-  /// construction so repeated locks (and the pattern's FFT) are paid
-  /// for once per detector, not per search.
-  std::shared_ptr<const sync::CandidateEngine> engine_;
   std::unique_ptr<sync::StreamWarper> warper_;
   std::vector<double> warp_scratch_;
 };

@@ -18,7 +18,6 @@
 
 #include "attack/desync.h"
 #include "detect/session.h"
-#include "dsp/fft_plan.h"
 #include "measure/trace_io.h"
 #include "serve/broker.h"
 #include "serve/client.h"
@@ -268,19 +267,6 @@ TEST(ServeBroker, TenantQuotaEvictsOwnEntriesOnly) {
   bool hit = false;
   broker.scenario("b", fast_ref(1, 4000, 2), &hit);
   EXPECT_TRUE(hit);  // b's memo was never a's eviction victim
-}
-
-TEST(ServeBroker, PlanHandlesComeFromTheProcessRegistry) {
-  serve::ResourceBroker broker;
-  EXPECT_EQ(broker.plan("t", 0), nullptr);
-  EXPECT_EQ(broker.plan("t", dsp::kMaxPlannedFftSize + 1), nullptr);
-  bool hit = true;
-  const auto plan = broker.plan("t", 1024, &hit);
-  EXPECT_FALSE(hit);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan.get(), dsp::get_fft_plan(1024).get());  // same registry plan
-  broker.plan("t", 1024, &hit);
-  EXPECT_TRUE(hit);
 }
 
 TEST(ServeBroker, EngineRequestsDelegateToTheSharedEngineCache) {
