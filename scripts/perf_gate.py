@@ -10,14 +10,19 @@ Usage:
       --current build/bench_smoke/BENCH_acq.json [--max-regression 0.25]
 
 Update mode (after an intentional perf change):
-  scripts/perf_gate.py --update --baseline bench_results/BENCH_acq.json \
+  scripts/perf_gate.py --update --record chip1 --record chip2 \
+      --baseline bench_results/BENCH_acq.json \
       --current build/bench_smoke/BENCH_acq.json [--build-dir build]
-copies the fresh record over the committed baseline instead of gating
-against it. As a guard against enshrining numbers from a broken tree,
---update first runs ctest in --build-dir and refuses to touch the
-baseline when any test fails (--skip-tests for the rare emergency).
-The comparison is still printed, so the change being baked in is
-visible in the terminal.
+replaces only the named records of the committed baseline with the
+fresh ones (a named record the baseline lacks is appended) and copies
+every other record through unchanged, byte for byte. --update without
+a --record is refused: re-recording a whole file would re-baseline the
+records the change does not move to whatever box ran it. The baseline
+and the fresh record must have the same "threads". As a guard against
+enshrining numbers from a broken tree, --update first runs ctest in
+--build-dir and refuses to touch the baseline when any test fails
+(--skip-tests for the rare emergency). The comparison is still
+printed, so the change being baked in is visible in the terminal.
 
 Comparison rules (kept deliberately small):
   * the top-level "threads" of baseline and current must match, else
@@ -45,7 +50,6 @@ changes or when moving the reference box.
 import argparse
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -83,6 +87,57 @@ def load_records(path):
     return doc.get("bench", "?"), doc.get("threads"), records
 
 
+def record_lines(text):
+    """Maps record name -> its line for files in the BenchJson layout
+    (one record object per line); None when the layout differs."""
+    lines = {}
+    for line in text.splitlines():
+        body = line.strip().rstrip(",")
+        if not body.startswith("{") or not body.endswith("}"):
+            continue
+        try:
+            record = json.loads(body)
+        except ValueError:
+            return None
+        if "name" in record:
+            lines[record["name"]] = body
+    return lines
+
+
+def record_texts(text):
+    """Record name -> the record's text, taken verbatim from its line when
+    the file has the BenchJson layout (one record object per line)."""
+    records = json.loads(text).get("records", [])
+    lines = record_lines(text)
+    if lines is None or len(lines) != len(records):
+        return {r["name"]: json.dumps(r) for r in records}
+    return lines
+
+
+def updated_baseline(baseline_path, current_path, names):
+    """The baseline text with the records in `names` taken from the
+    current file; every other record keeps its text."""
+    with open(current_path, "r", encoding="utf-8") as fh:
+        current_text = fh.read()
+    fresh = record_texts(current_text)
+    order = []
+    old = {}
+    doc = json.loads(current_text)  # first recording: the fresh header
+    if os.path.exists(baseline_path):
+        with open(baseline_path, "r", encoding="utf-8") as fh:
+            baseline_text = fh.read()
+        doc = json.loads(baseline_text)
+        order = [r["name"] for r in doc.get("records", [])]
+        old = record_texts(baseline_text)
+    out = [fresh[n] if n in names else old[n] for n in order]
+    out += [fresh[n] for n in dict.fromkeys(names) if n not in order]
+    text = "{\n"
+    for key, value in doc.items():
+        if key != "records":
+            text += f"  {json.dumps(key)}: {json.dumps(value)},\n"
+    return text + '  "records": [\n    ' + ",\n    ".join(out) + "\n  ]\n}\n"
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description="Fail when a bench --json record regressed vs baseline."
@@ -102,8 +157,17 @@ def main(argv):
     parser.add_argument(
         "--update",
         action="store_true",
-        help="copy --current over --baseline instead of gating "
-        "(refuses when ctest fails in --build-dir)",
+        help="replace the --record records of --baseline with the "
+        "fresh ones instead of gating (refuses when ctest fails in "
+        "--build-dir)",
+    )
+    parser.add_argument(
+        "--record",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="record to re-baseline with --update (repeatable; every "
+        "other record is copied through unchanged)",
     )
     parser.add_argument(
         "--build-dir",
@@ -117,6 +181,18 @@ def main(argv):
         help="--update without the ctest guard (emergency use only)",
     )
     args = parser.parse_args(argv)
+    if args.update and not args.record:
+        print(
+            "perf gate: refusing --update without --record NAME: name "
+            "the records this change moves; the others keep their "
+            "committed values",
+            file=sys.stderr,
+        )
+        return 1
+    if args.record and not args.update:
+        print("perf gate: --record only applies to --update",
+              file=sys.stderr)
+        return 1
 
     bench_cur, threads_cur, current = load_records(args.current)
     if os.path.exists(args.baseline):
@@ -135,9 +211,10 @@ def main(argv):
             file=sys.stderr,
         )
         return 1
-    if threads_base != threads_cur and not args.update:
+    if threads_base != threads_cur:
         # Timings at different thread counts are different measurements:
-        # a 4-thread run would hide a 2x single-thread regression.
+        # a 4-thread run would hide a 2x single-thread regression, and an
+        # update would mix thread counts within one file.
         print(
             f"perf gate: {bench_cur}: thread count mismatch (baseline "
             f"{args.baseline} has threads={threads_base}, current "
@@ -148,6 +225,14 @@ def main(argv):
         return 1
 
     if args.update:
+        unknown = [n for n in args.record if n not in current]
+        if unknown:
+            print(
+                f"perf gate: refusing --update: record(s) "
+                f"{', '.join(unknown)} not in {args.current}",
+                file=sys.stderr,
+            )
+            return 1
         if args.skip_tests:
             print("perf gate: --update with --skip-tests: ctest guard "
                   "bypassed")
@@ -206,12 +291,15 @@ def main(argv):
         print(f"  [new]  record '{name}' has no baseline yet")
 
     if args.update:
-        # The comparison above is informational; the fresh record
-        # becomes the baseline regardless of direction.
-        shutil.copyfile(args.current, args.baseline)
+        # The comparison above is informational; the named fresh records
+        # enter the baseline regardless of direction.
+        text = updated_baseline(args.baseline, args.current, args.record)
+        with open(args.baseline, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(
-            f"perf gate: baseline {args.baseline} updated from "
-            f"{args.current} ({len(current)} record(s))"
+            f"perf gate: baseline {args.baseline}: re-recorded "
+            f"{', '.join(args.record)} from {args.current}; other records "
+            "unchanged"
         )
         return 0
     if missing:

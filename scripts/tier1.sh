@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the full build + test sweep, the cm_lint design-rule
-# gate, then sanitizer passes — ThreadSanitizer over the concurrency-
-# sensitive binaries (the cm_runtime primitives and the sim/experiment
-# drivers that fan repetitions out over them), UBSan over the
-# arithmetic-heavy sequence/dsp/cpa tests, and ASan (+ UBSan) over the
-# dsp/cpa/sync tests, whose FFT kernel indexes raw double strides.
+# Tier-1 verification: the full build + test sweep, the bench smoke, the
+# cm_lint design-rule gate, then sanitizer passes — ThreadSanitizer over
+# the concurrency-sensitive binaries (the cm_runtime primitives and the
+# sim/experiment runners that fan repetitions out over them), UBSan over
+# the arithmetic-heavy sequence/dsp/cpa tests, and ASan (+ UBSan) over
+# the dsp/cpa/sync/measure/util tests, whose FFT kernel and acquisition
+# lanes index raw double strides. The six perf gates compare the smoke's
+# records against the committed baselines at the very end.
 #
 # Usage: scripts/tier1.sh [--skip-tsan]
 set -euo pipefail
@@ -82,24 +84,6 @@ for f in BENCH_cpa_speed.json BENCH_fig6.json BENCH_stream.json \
     exit 1
   }
 done
-
-echo "=== tier-1: perf-regression gate ==="
-# Compares the smoke-run BenchJson records against the committed
-# baselines (recorded with the same flags on the reference box); any
-# tracked throughput metric more than 25 % below baseline fails. See
-# scripts/perf_gate.py and README "Performance tracking".
-scripts/perf_gate.py --baseline bench_results/BENCH_acq.json \
-  --current "${SMOKE_DIR}/BENCH_acq.json"
-scripts/perf_gate.py --baseline bench_results/BENCH_cpa_speed.json \
-  --current "${SMOKE_DIR}/BENCH_cpa_speed.json"
-scripts/perf_gate.py --baseline bench_results/BENCH_fig6.json \
-  --current "${SMOKE_DIR}/BENCH_fig6.json"
-scripts/perf_gate.py --baseline bench_results/BENCH_stream.json \
-  --current "${SMOKE_DIR}/BENCH_stream.json"
-scripts/perf_gate.py --baseline bench_results/BENCH_sync.json \
-  --current "${SMOKE_DIR}/BENCH_sync.json"
-scripts/perf_gate.py --baseline bench_results/BENCH_service.json \
-  --current "${SMOKE_DIR}/BENCH_service.json"
 
 echo "=== tier-1: detection-service smoke (detect_serve --selftest) ==="
 # The daemon comes up on an ephemeral port, a TCP client submits a batch
@@ -182,9 +166,7 @@ scripts/lint.sh build
 
 if [[ "${SKIP_TSAN}" == "1" ]]; then
   echo "=== tier-1: sanitizer passes skipped (--skip-tsan) ==="
-  exit 0
-fi
-
+else  # the sanitizer lanes, up to the perf gates
 echo "=== tier-1: TSan pass (runtime + dsp + sim + stream + sync tests) ==="
 cmake -B build-tsan -S . -DCLOCKMARK_SANITIZE=thread
 cmake --build build-tsan -j --target test_runtime test_dsp test_integration \
@@ -209,15 +191,40 @@ cmake --build build-ubsan -j --target test_sequence test_dsp test_cpa \
 ./build-ubsan/tests/test_cpa
 ./build-ubsan/tests/test_socdesc
 
-echo "=== tier-1: ASan pass (dsp + cpa + sync tests) ==="
+echo "=== tier-1: ASan pass (dsp + cpa + sync + measure + util tests) ==="
 # CLOCKMARK_SANITIZE=address is ASan + UBSan. ASan aborts on its first
 # report; halt_on_error does the same for the (recoverable) UBSan checks
-# of this build, so again a plain run is the gate.
+# of this build, so again a plain run is the gate. test_measure and
+# test_util cover the acquisition kernel's strided lane tiles and the
+# batched RNG walk.
 cmake -B build-asan -S . -DCLOCKMARK_SANITIZE=address
-cmake --build build-asan -j --target test_dsp test_cpa test_sync
+cmake --build build-asan -j --target test_dsp test_cpa test_sync \
+  test_measure test_util
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ./build-asan/tests/test_dsp
 ./build-asan/tests/test_cpa
 ./build-asan/tests/test_sync
+./build-asan/tests/test_measure
+./build-asan/tests/test_util
+fi
+
+echo "=== tier-1: perf-regression gate ==="
+# Compares the smoke-run BenchJson records against the committed
+# baselines (recorded with the same flags on the reference box); any
+# tracked throughput metric more than 25 % below baseline fails. See
+# scripts/perf_gate.py and README "Performance tracking". The gates run
+# last and all six run: their baselines are absolute times, so one red
+# gate on a slower or busier box must not hide the correctness checks
+# above or the other gates. Any failure still fails tier-1.
+GATE_FAILURES=()
+for f in BENCH_acq.json BENCH_cpa_speed.json BENCH_fig6.json \
+    BENCH_stream.json BENCH_sync.json BENCH_service.json; do
+  scripts/perf_gate.py --baseline "bench_results/${f}" \
+    --current "${SMOKE_DIR}/${f}" || GATE_FAILURES+=("${f}")
+done
+if [[ "${#GATE_FAILURES[@]}" -gt 0 ]]; then
+  echo "=== tier-1: FAILED perf gate(s): ${GATE_FAILURES[*]} ===" >&2
+  exit 1
+fi
 
 echo "=== tier-1: OK ==="

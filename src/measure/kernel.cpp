@@ -6,6 +6,10 @@
 #include <optional>
 #include <stdexcept>
 
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 #include "util/rng.h"
 
 namespace clockmark::measure {
@@ -14,6 +18,182 @@ namespace {
 /// Block sizing target: a block of ~4096 samples keeps the five scratch
 /// walks (synthesize, noise, filter, quantise, average) inside L1/L2.
 constexpr std::size_t kBlockSamplesTarget = 4096;
+
+/// Filter lanes per replayed block: two AVX2 registers of four doubles.
+/// Eight independent recurrences cover the FMA latency of the serial
+/// PDN/probe chain. Default blocks are whole multiples of kLanes cycles,
+/// so a block's samples split into kLanes equal segments for any spc.
+constexpr std::size_t kLanes = AcquisitionKernel::kReplayLanes;
+
+/// The per-sample constants of the fused PDN -> shunt -> probe cascade.
+struct FilterTaps {
+  double pdn_alpha;
+  double probe_alpha;
+  double r_shunt;
+  double gain;
+};
+
+/// Running min/max of the post-probe voltage (range pass only).
+struct VoltRange {
+  double mn;
+  double mx;
+};
+
+/// True when a block of `samples` samples splits into kLanes segments
+/// long enough to replay as lanes.
+constexpr bool laneable(std::size_t samples) noexcept {
+  return samples % kLanes == 0 && samples >= 4 * kLanes;
+}
+
+#if defined(__AVX2__) && defined(__FMA__)
+/// In-register 4x4 transpose: rows a..d become columns a..d.
+inline void transpose4(__m256d& a, __m256d& b, __m256d& c,
+                       __m256d& d) noexcept {
+  const __m256d t0 = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
+  const __m256d t1 = _mm256_unpackhi_pd(a, b);  // a1 b1 a3 b3
+  const __m256d t2 = _mm256_unpacklo_pd(c, d);  // c0 d0 c2 d2
+  const __m256d t3 = _mm256_unpackhi_pd(c, d);  // c1 d1 c3 d3
+  a = _mm256_permute2f128_pd(t0, t2, 0x20);
+  b = _mm256_permute2f128_pd(t1, t3, 0x20);
+  c = _mm256_permute2f128_pd(t0, t2, 0x31);
+  d = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/// kLanes lanes in two registers: lanes 0-3 in [0], lanes 4-7 in [1].
+/// Each op is the per-element IEEE twin of the scalar step (vfmadd for
+/// std::fma, split vmul/vadd for the unfused gain + noise).
+template <bool kPdn>
+void filter_lanes_avx2(const FilterTaps f, double* pdn_y, double* probe_y,
+                       double* wave, const double* noise,
+                       std::size_t seg) noexcept {
+  const __m256d va = _mm256_set1_pd(f.pdn_alpha);
+  const __m256d vb = _mm256_set1_pd(f.probe_alpha);
+  const __m256d vr = _mm256_set1_pd(f.r_shunt);
+  const __m256d vg = _mm256_set1_pd(f.gain);
+  __m256d py[2] = {_mm256_loadu_pd(pdn_y), _mm256_loadu_pd(pdn_y + 4)};
+  __m256d qy[2] = {_mm256_loadu_pd(probe_y), _mm256_loadu_pd(probe_y + 4)};
+  const auto step = [&](int h, __m256d x, __m256d nz) noexcept {
+    if constexpr (kPdn) {
+      py[h] = _mm256_fmadd_pd(va, _mm256_sub_pd(x, py[h]), py[h]);
+      x = py[h];
+    }
+    const __m256d v = _mm256_mul_pd(x, vr);
+    qy[h] = _mm256_fmadd_pd(vb, _mm256_sub_pd(v, qy[h]), qy[h]);
+    return _mm256_add_pd(_mm256_mul_pd(qy[h], vg), nz);
+  };
+  std::size_t j = 0;
+  for (; j + 4 <= seg; j += 4) {
+    for (int h = 0; h < 2; ++h) {
+      // Four steps of four lanes: load a 4x4 tile per operand (row =
+      // lane), transpose to one register per step, transpose back.
+      double* w = wave + 4 * h * seg + j;
+      const double* n = noise + 4 * h * seg + j;
+      __m256d x0 = _mm256_loadu_pd(w), x1 = _mm256_loadu_pd(w + seg),
+              x2 = _mm256_loadu_pd(w + 2 * seg),
+              x3 = _mm256_loadu_pd(w + 3 * seg);
+      __m256d n0 = _mm256_loadu_pd(n), n1 = _mm256_loadu_pd(n + seg),
+              n2 = _mm256_loadu_pd(n + 2 * seg),
+              n3 = _mm256_loadu_pd(n + 3 * seg);
+      transpose4(x0, x1, x2, x3);
+      transpose4(n0, n1, n2, n3);
+      x0 = step(h, x0, n0);
+      x1 = step(h, x1, n1);
+      x2 = step(h, x2, n2);
+      x3 = step(h, x3, n3);
+      transpose4(x0, x1, x2, x3);
+      _mm256_storeu_pd(w, x0);
+      _mm256_storeu_pd(w + seg, x1);
+      _mm256_storeu_pd(w + 2 * seg, x2);
+      _mm256_storeu_pd(w + 3 * seg, x3);
+    }
+  }
+  for (; j < seg; ++j) {  // seg % 4 leftover steps, one column at a time
+    for (int h = 0; h < 2; ++h) {
+      double* w = wave + 4 * h * seg + j;
+      const double* n = noise + 4 * h * seg + j;
+      alignas(32) double out[4];
+      _mm256_store_pd(
+          out, step(h, _mm256_setr_pd(w[0], w[seg], w[2 * seg], w[3 * seg]),
+                    _mm256_setr_pd(n[0], n[seg], n[2 * seg], n[3 * seg])));
+      for (std::size_t k = 0; k < 4; ++k) w[k * seg] = out[k];
+    }
+  }
+  _mm256_storeu_pd(pdn_y, py[0]);
+  _mm256_storeu_pd(pdn_y + 4, py[1]);
+  _mm256_storeu_pd(probe_y, qy[0]);
+  _mm256_storeu_pd(probe_y + 4, qy[1]);
+}
+#endif
+
+/// The PDN -> shunt -> probe cascade over kN independent stretches of
+/// one block, stepped in lockstep. Lane k owns samples [k*seg, (k+1)*seg)
+/// of `wave`, starts from pdn_y[k]/probe_y[k] and ends holding its last
+/// sample's states; every sample is replaced by probe_y * gain + noise.
+/// With one lane this is the serial chain. Each lane performs the serial
+/// chain's exact per-sample op sequence, so a lane started from the
+/// serial state at its first sample reproduces the serial trajectory bit
+/// for bit. kRange (one lane) folds each output into the auto-range
+/// min/max as it is produced.
+template <bool kPdn, std::size_t kN, bool kRange>
+void filter_lanes(const FilterTaps f, double* pdn_y, double* probe_y,
+                  double* wave, const double* noise, std::size_t seg,
+                  VoltRange& range) noexcept {
+#if defined(__AVX2__) && defined(__FMA__)
+  if constexpr (kN == kLanes && !kRange) {
+    filter_lanes_avx2<kPdn>(f, pdn_y, probe_y, wave, noise, seg);
+    return;
+  }
+#endif
+  // States in locals: through the pointers gcc must assume the wave
+  // stores alias them and would reload them every sample. (Element-wise
+  // copies: std::copy_n lowers to a memcpy whose integer-typed scalars
+  // park the states in general registers, adding two moves per step.)
+  double py[kN];
+  double qy[kN];
+  for (std::size_t k = 0; k < kN; ++k) {
+    py[k] = pdn_y[k];
+    qy[k] = probe_y[k];
+  }
+  double mn = range.mn;
+  double mx = range.mx;
+  for (std::size_t j = 0; j < seg; ++j) {
+    for (std::size_t k = 0; k < kN; ++k) {
+      const std::size_t i = k * seg + j;
+      double x = wave[i];
+      if constexpr (kPdn) {
+        py[k] = std::fma(f.pdn_alpha, x - py[k], py[k]);
+        x = py[k];
+      }
+      const double v = x * f.r_shunt;
+      qy[k] = std::fma(f.probe_alpha, v - qy[k], qy[k]);
+      const double w = qy[k] * f.gain + noise[i];
+      wave[i] = w;
+      if constexpr (kRange) {
+        mn = std::min(mn, w);
+        mx = std::max(mx, w);
+      }
+    }
+  }
+  for (std::size_t k = 0; k < kN; ++k) {
+    pdn_y[k] = py[k];
+    probe_y[k] = qy[k];
+  }
+  range = {mn, mx};
+}
+
+/// filter_lanes with the PDN switch resolved at run time.
+template <std::size_t kN, bool kRange>
+void run_filter(bool use_pdn, const FilterTaps f, double* pdn_y,
+                double* probe_y, double* wave, const double* noise,
+                std::size_t seg, VoltRange& range) noexcept {
+  if (use_pdn) {
+    filter_lanes<true, kN, kRange>(f, pdn_y, probe_y, wave, noise, seg,
+                                   range);
+  } else {
+    filter_lanes<false, kN, kRange>(f, pdn_y, probe_y, wave, noise, seg,
+                                    range);
+  }
+}
 }  // namespace
 
 // One pass's analog chain state. The waveform expansion is per-cycle
@@ -44,6 +224,7 @@ struct AcquisitionKernel::Pass {
   std::size_t prime_samples = 0;  ///< samples the DC priming averaged
 
   std::size_t stream_pos = 0;  ///< samples of the (offset) stream done
+  std::size_t checkpoint_cursor = 0;  ///< first checkpoint not yet passed
   std::size_t cycles_in = 0;   ///< input cycles consumed by past feeds
   double prev_sample = 0.0;    ///< last digitised sample (edge fold)
   double win_sum = 0.0;        ///< partial averaging window (align pass)
@@ -72,9 +253,12 @@ AcquisitionKernel::AcquisitionKernel(const AcquisitionConfig& config,
   template_ = power::cycle_pulse_template(config_.waveform);  // throws on spc=0
 
   const std::size_t spc = config_.waveform.samples_per_cycle;
-  block_cycles_ = config_.block_cycles > 0
-                      ? config_.block_cycles
-                      : std::max<std::size_t>(8, kBlockSamplesTarget / spc);
+  // Default blocks are whole multiples of kLanes cycles, so every full
+  // block can be replayed as lanes (block size never changes a bit).
+  block_cycles_ =
+      config_.block_cycles > 0
+          ? config_.block_cycles
+          : std::max(kLanes, kBlockSamplesTarget / spc / kLanes * kLanes);
   wave_.resize(block_cycles_ * spc);
   noise_.resize(block_cycles_ * spc);
 
@@ -176,19 +360,16 @@ void AcquisitionKernel::run_pass(Pass& pass,
   double* noise = noise_.data();
 
   // The two one-pole recurrences are the serial backbone of the pipeline
-  // (everything else is an independent-per-sample array pass). Pull
-  // their state into locals for the block loop — through the Pass
-  // pointer gcc must assume the wave stores could alias the filter
-  // object and would reload the state every sample — and fuse
-  // PDN -> shunt -> probe into one loop so the two dependency chains
-  // overlap instead of paying their latency twice. The per-sample
-  // dataflow (and thus every bit) is unchanged: each recurrence sees
-  // exactly the inputs and state it saw as separate passes.
+  // (everything else is an independent-per-sample array pass). Their
+  // states live in locals for the block loop and PDN -> shunt -> probe
+  // is fused into one loop so the two dependency chains overlap (see
+  // filter_lanes). Lane 0 carries the pass's running state; lanes 1..7
+  // are loaded from range-pass checkpoints when a block is replayed.
   const bool use_pdn = pass.pdn.has_value();
-  const double pdn_alpha = use_pdn ? pass.pdn->alpha() : 0.0;
-  double pdn_y = use_pdn ? pass.pdn->state() : 0.0;
-  const double probe_alpha = pass.probe_filter.alpha();
-  double probe_y = pass.probe_filter.state();
+  const FilterTaps taps{use_pdn ? pass.pdn->alpha() : 0.0,
+                        pass.probe_filter.alpha(), r_shunt, gain};
+  double pdn_y[kLanes] = {use_pdn ? pass.pdn->state() : 0.0};
+  double probe_y[kLanes] = {pass.probe_filter.state()};
 
   for (std::size_t start = 0; start < cycle_power_w.size();
        start += block_cycles_) {
@@ -234,53 +415,57 @@ void AcquisitionKernel::run_pass(Pass& pass,
 
     if (kind == PassKind::kRange) {
       // Range pass: accumulate the exact min/max the reference scope's
-      // auto_range would see over the full waveform. The per-sample
-      // volts value is consumed by the min/max right away — nothing is
-      // stored. Seeding with +/-inf is exact: min(inf, w) == w for the
-      // first finite sample, so the result equals the reference's
-      // first-element initialisation.
-      double mn = volts_seen_ ? volts_min_
-                              : std::numeric_limits<double>::infinity();
-      double mx = volts_seen_ ? volts_max_
-                              : -std::numeric_limits<double>::infinity();
+      // auto_range would see over the full waveform, folding each volts
+      // value in as the filter produces it. Seeding with +/-inf is exact:
+      // min(inf, w) == w for the first finite sample, so the result
+      // equals the reference's first-element initialisation.
+      VoltRange range{
+          volts_seen_ ? volts_min_ : std::numeric_limits<double>::infinity(),
+          volts_seen_ ? volts_max_
+                      : -std::numeric_limits<double>::infinity()};
       if (sc > 0) volts_seen_ = true;
-      if (use_pdn) {
-        for (std::size_t j = 0; j < sc; ++j) {
-          pdn_y = std::fma(pdn_alpha, wave[j] - pdn_y, pdn_y);
-          const double v = pdn_y * r_shunt;
-          probe_y = std::fma(probe_alpha, v - probe_y, probe_y);
-          const double w = probe_y * gain + noise[j];
-          mn = std::min(mn, w);
-          mx = std::max(mx, w);
-        }
-      } else {
-        for (std::size_t j = 0; j < sc; ++j) {
-          const double v = wave[j] * r_shunt;
-          probe_y = std::fma(probe_alpha, v - probe_y, probe_y);
-          const double w = probe_y * gain + noise[j];
-          mn = std::min(mn, w);
-          mx = std::max(mx, w);
-        }
+      // The filter trajectory does not depend on the noise (added after
+      // the probe), so every later pass walks the same states. Record
+      // them at the kLanes segment starts of the block, keyed by stream
+      // position, for those passes to replay.
+      const std::size_t lanes = laneable(sc) ? kLanes : 1;
+      const std::size_t seg = sc / lanes;
+      BlockCheckpoint* cp = nullptr;
+      if (lanes == kLanes) {
+        cp = &checkpoints_.emplace_back();
+        cp->stream_pos = pass.stream_pos;
+        cp->samples = sc;
       }
-      volts_min_ = mn;
-      volts_max_ = mx;
+      for (std::size_t k = 0; k < lanes; ++k) {
+        if (cp) {
+          cp->pdn_y[k] = pdn_y[0];
+          cp->probe_y[k] = probe_y[0];
+        }
+        run_filter<1, true>(use_pdn, taps, pdn_y, probe_y, wave + k * seg,
+                            noise + k * seg, seg, range);
+      }
+      volts_min_ = range.mn;
+      volts_max_ = range.mx;
       pass.stream_pos += sc;
       continue;
     }
 
-    if (use_pdn) {
-      for (std::size_t j = 0; j < sc; ++j) {
-        pdn_y = std::fma(pdn_alpha, wave[j] - pdn_y, pdn_y);
-        const double v = pdn_y * r_shunt;
-        probe_y = std::fma(probe_alpha, v - probe_y, probe_y);
-        wave[j] = probe_y * gain + noise[j];
-      }
+    VoltRange unused{0.0, 0.0};
+    const BlockCheckpoint* cp = find_checkpoint(pass, sc);
+    // A record whose first state is not this pass's running state lies
+    // on another trajectory; such a block walks serially.
+    if (cp && cp->pdn_y[0] == pdn_y[0] && cp->probe_y[0] == probe_y[0]) {
+      std::copy_n(cp->pdn_y, kLanes, pdn_y);
+      std::copy_n(cp->probe_y, kLanes, probe_y);
+      run_filter<kLanes, false>(use_pdn, taps, pdn_y, probe_y, wave, noise,
+                                sc / kLanes, unused);
+      // The last lane ends where the serial chain would: at the block end.
+      pdn_y[0] = pdn_y[kLanes - 1];
+      probe_y[0] = probe_y[kLanes - 1];
+      ++replayed_blocks_;
     } else {
-      for (std::size_t j = 0; j < sc; ++j) {
-        const double v = wave[j] * r_shunt;
-        probe_y = std::fma(probe_alpha, v - probe_y, probe_y);
-        wave[j] = probe_y * gain + noise[j];
-      }
+      run_filter<1, false>(use_pdn, taps, pdn_y, probe_y, wave, noise, sc,
+                           unused);
     }
 
     // 5. Oscilloscope: batched front-end noise, clip, quantise,
@@ -355,8 +540,25 @@ void AcquisitionKernel::run_pass(Pass& pass,
 
   // Hand the register-resident recurrence states back to the pass so the
   // next feed resumes exactly where this one stopped.
-  if (use_pdn) pass.pdn->reset(pdn_y);
-  pass.probe_filter.reset(probe_y);
+  if (use_pdn) pass.pdn->reset(pdn_y[0]);
+  pass.probe_filter.reset(probe_y[0]);
+}
+
+const AcquisitionKernel::BlockCheckpoint* AcquisitionKernel::find_checkpoint(
+    Pass& pass, std::size_t samples) const noexcept {
+  // Both the store and every pass walk the stream forwards, so one
+  // cursor per pass finds each block's record in amortised O(1).
+  std::size_t& c = pass.checkpoint_cursor;
+  while (c < checkpoints_.size() &&
+         checkpoints_[c].stream_pos < pass.stream_pos) {
+    ++c;
+  }
+  if (c < checkpoints_.size() &&
+      checkpoints_[c].stream_pos == pass.stream_pos &&
+      checkpoints_[c].samples == samples) {
+    return &checkpoints_[c];
+  }
+  return nullptr;
 }
 
 void AcquisitionKernel::range_feed(std::span<const double> cycle_power_w) {

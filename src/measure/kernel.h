@@ -17,6 +17,18 @@
 //    bit-identical to the reference;
 //  - block boundaries only decide where loops pause, never the FP
 //    evaluation order, so results are independent of the block length;
+//  - checkpoint replay is exact: the PDN and probe recurrences see only
+//    the synthesized waveform (the probe noise is added after the probe
+//    filter), so every pass walks the same filter trajectory. The range
+//    pass records the (pdn, probe) state at kReplayLanes segment starts
+//    per block, keyed by stream position (O(blocks) doubles, nothing
+//    per sample). The trigger and acquire passes restart each matching
+//    block's segments from those states and step them as independent
+//    SIMD lanes, each with the serial chain's per-sample op sequence,
+//    so the replayed trajectory is the serial one bit for bit. A block
+//    with no matching record (fixed range, a different chunking, a
+//    partial tail, a record whose first state is not the pass's own)
+//    runs the same routine with one lane: the serial chain;
 //  - detection decisions (peak rotation, presence verdict) on the chip
 //    I/II presets are identical to the reference path.
 //
@@ -101,13 +113,37 @@ class AcquisitionKernel {
   /// Recovered edge-trigger phase; valid after fix_trigger().
   std::size_t trigger_phase() const noexcept { return phase_; }
 
+  /// Filter lanes a replayed block splits into. The default block length
+  /// is a multiple of this many cycles.
+  static constexpr std::size_t kReplayLanes = 8;
+  /// Blocks the trigger and acquire passes have replayed as lanes from
+  /// range-pass checkpoints (the rest ran the one-lane serial chain).
+  std::size_t replayed_blocks() const noexcept { return replayed_blocks_; }
+  /// Memory held by the range pass's filter checkpoints.
+  std::size_t checkpoint_bytes() const noexcept {
+    return checkpoints_.capacity() * sizeof(BlockCheckpoint);
+  }
+
  private:
   struct Pass;  // per-pass analog state (filters + noise streams)
   enum class PassKind { kRange, kTrigger, kAcquire };
 
+  /// Filter states at the kReplayLanes segment starts of one range-pass
+  /// block: lane k starts at stream_pos + k * samples / kReplayLanes.
+  struct BlockCheckpoint {
+    std::size_t stream_pos;
+    std::size_t samples;
+    double pdn_y[kReplayLanes];
+    double probe_y[kReplayLanes];
+  };
+
   void run_pass(Pass& pass, std::span<const double> cycle_power_w,
                 PassKind kind, std::vector<double>* y_out);
   void prime_pdn(Pass& pass, std::span<const double> cycle_power_w);
+  /// The record of the block starting at pass.stream_pos with `samples`
+  /// samples, or nullptr.
+  const BlockCheckpoint* find_checkpoint(Pass& pass,
+                                         std::size_t samples) const noexcept;
 
   AcquisitionConfig config_;
   double clock_hz_;
@@ -127,6 +163,8 @@ class AcquisitionKernel {
   std::vector<double> edge_fold_;  ///< edge energy folded modulo spc
   double sum_power_w_ = 0.0;
   std::size_t cycles_out_ = 0;
+  std::vector<BlockCheckpoint> checkpoints_;  ///< range pass, by position
+  std::size_t replayed_blocks_ = 0;
 
   // Block-resident scratch, reused across feeds (no per-block allocation).
   std::vector<double> wave_;   ///< synthesized current, one block

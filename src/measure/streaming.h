@@ -17,8 +17,12 @@
 // under RangePolicy::kAutoRange the caller streams the trace once through
 // the range pass, then again through the acquire pass. Both passes seed
 // their analog chains identically, so the acquire pass sees the exact
-// waveform the range was chosen from. This trades ~2x synthesis compute
-// for O(N) less memory — the streaming bargain.
+// waveform the range was chosen from. This trades a second synthesis
+// and noise walk for O(N) less memory — the streaming bargain. The
+// second pass does not repeat the serial filter walk, though: the
+// kernel replays the range pass's filter checkpoints (a few states per
+// block, nothing per sample) as SIMD lanes, so only the throughput-bound
+// stages are paid twice.
 //
 // Since the fused-kernel refactor this class is a thin front-end over
 // measure::AcquisitionKernel, which implements the chunked multi-pass

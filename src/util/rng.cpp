@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 #include "util/fastmath.h"
 
 namespace clockmark::util {
@@ -17,6 +21,104 @@ inline std::uint32_t pcg_output(std::uint64_t old) noexcept {
   const auto rot = static_cast<std::uint32_t>(old >> 59u);
   return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
 }
+
+constexpr std::uint64_t kMult = 6364136223846793005ULL;
+
+#if defined(__AVX2__)
+/// Low 64 bits of a * b per lane (the LCG's mod-2^64 product).
+inline __m256i mul_lo64(__m256i a, __m256i b) noexcept {
+#if defined(__AVX512DQ__) && defined(__AVX512VL__)
+  return _mm256_mullo_epi64(a, b);
+#else
+  // lo(a)lo(b) + ((hi(a)lo(b) + lo(a)hi(b)) << 32): the hi*hi term and
+  // the high halves of the cross terms fall off the top.
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
+                       _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, b),
+                          _mm256_slli_epi64(cross, 32));
+#endif
+}
+
+/// pcg_output of four states, zero-extended into 64-bit lanes.
+inline __m256i pcg_output4(__m256i old) noexcept {
+  const __m256i low32 = _mm256_set1_epi64x(0xffffffffLL);
+  const __m256i x = _mm256_and_si256(
+      _mm256_srli_epi64(
+          _mm256_xor_si256(_mm256_srli_epi64(old, 18), old), 27),
+      low32);
+  const __m256i rot = _mm256_srli_epi64(old, 59);
+  // 32-bit rotate right in 64-bit lanes; rot == 0 shifts x by 32, which
+  // the mask drops, as the scalar `& 31u` does.
+  const __m256i left =
+      _mm256_sllv_epi64(x, _mm256_sub_epi64(_mm256_set1_epi64x(32), rot));
+  return _mm256_and_si256(_mm256_or_si256(_mm256_srlv_epi64(x, rot), left),
+                          low32);
+}
+
+/// static_cast<double>(r) * 0x1p-32 for 32-bit r in 64-bit lanes: 2^52
+/// + r is exact as a bit pattern, so subtracting 2^52 recovers r exactly.
+inline __m256d unit_double4(__m256i r) noexcept {
+  const __m256d two52 = _mm256_set1_pd(0x1p52);
+  const __m256d d = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(r, _mm256_castpd_si256(two52))),
+      two52);
+  return _mm256_mul_pd(d, _mm256_set1_pd(0x1p-32));
+}
+
+/// The uniform walk of fill_gaussian for the first pairs / 8 * 8 pairs:
+/// 16 jump-ahead states of one stream, s_{16b} .. s_{16b+15} at step b,
+/// in four vectors (even draws feed u1, odd draws u2) advanced 16 draws
+/// at a time, so four 64-bit multiply chains overlap. Writes the draws
+/// the sequential walk would make, clears `no_zero` if any u1 draw is 0,
+/// advances `state` past the consumed draws and returns the pairs done.
+std::size_t uniform_walk16(std::uint64_t& state, std::uint64_t inc,
+                           std::size_t pairs, double* u1, double* u2,
+                           bool& no_zero) noexcept {
+  const std::size_t steps = pairs / 8;
+  if (steps == 0) return 0;
+  std::uint64_t s[16];
+  s[0] = state;
+  for (std::size_t k = 1; k < 16; ++k) s[k] = s[k - 1] * kMult + inc;
+  std::uint64_t mult16 = 1;  // s_{n+16} = mult16 * s_n + inc16
+  std::uint64_t inc16 = 0;
+  for (std::size_t k = 0; k < 16; ++k) {
+    mult16 *= kMult;
+    inc16 = inc16 * kMult + inc;
+  }
+  const auto lanes = [&](std::size_t k0) {
+    return _mm256_setr_epi64x(
+        static_cast<long long>(s[k0]), static_cast<long long>(s[k0 + 2]),
+        static_cast<long long>(s[k0 + 4]), static_cast<long long>(s[k0 + 6]));
+  };
+  __m256i even_lo = lanes(0);  // u1, pairs 8b .. 8b+3
+  __m256i odd_lo = lanes(1);   // u2, pairs 8b .. 8b+3
+  __m256i even_hi = lanes(8);  // u1, pairs 8b+4 .. 8b+7
+  __m256i odd_hi = lanes(9);   // u2, pairs 8b+4 .. 8b+7
+  const __m256i vm = _mm256_set1_epi64x(static_cast<long long>(mult16));
+  const __m256i vc = _mm256_set1_epi64x(static_cast<long long>(inc16));
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i zeros = zero;  // lanes whose u1 draw was exactly 0
+  for (std::size_t b = 0; b < steps; ++b) {
+    const __m256i r_lo = pcg_output4(even_lo);
+    const __m256i r_hi = pcg_output4(even_hi);
+    zeros = _mm256_or_si256(zeros, _mm256_cmpeq_epi64(r_lo, zero));
+    zeros = _mm256_or_si256(zeros, _mm256_cmpeq_epi64(r_hi, zero));
+    _mm256_storeu_pd(u1 + 8 * b, unit_double4(r_lo));
+    _mm256_storeu_pd(u1 + 8 * b + 4, unit_double4(r_hi));
+    _mm256_storeu_pd(u2 + 8 * b, unit_double4(pcg_output4(odd_lo)));
+    _mm256_storeu_pd(u2 + 8 * b + 4, unit_double4(pcg_output4(odd_hi)));
+    even_lo = _mm256_add_epi64(mul_lo64(even_lo, vm), vc);
+    odd_lo = _mm256_add_epi64(mul_lo64(odd_lo, vm), vc);
+    even_hi = _mm256_add_epi64(mul_lo64(even_hi, vm), vc);
+    odd_hi = _mm256_add_epi64(mul_lo64(odd_hi, vm), vc);
+  }
+  if (!_mm256_testz_si256(zeros, zeros)) no_zero = false;
+  // even_lo's first lane has advanced to s_{16 * steps}.
+  state = static_cast<std::uint64_t>(_mm256_extract_epi64(even_lo, 0));
+  return steps * 8;
+}
+#endif
 }  // namespace
 
 Pcg32::Pcg32(std::uint64_t seed, std::uint64_t stream) noexcept
@@ -108,20 +210,26 @@ void Pcg32::fill_gaussian(std::span<double> out, double mean,
 
     // Uniform fill. The sequential generator consumes exactly two draws
     // per pair unless a u1 draw lands on exactly zero (probability
-    // 2^-32 per draw). Exploit that: advance two jump-ahead lanes —
-    // even-index and odd-index states of the *same* stream — so the two
-    // 64-bit multiply chains overlap, and fall back to the plain
-    // rejection loop for the whole batch in the astronomically rare
-    // zero case. Draw values and the final generator state are
-    // bit-identical to the sequential walk either way.
+    // 2^-32 per draw). Exploit that: walk jump-ahead states of the
+    // *same* stream so several 64-bit multiply chains overlap — 16
+    // states in AVX2 vectors (uniform_walk16), then two scalar lanes
+    // (even- and odd-index states) for the remaining pairs — and fall
+    // back to the plain rejection loop for the whole batch in the
+    // astronomically rare zero case. Draw values and the final
+    // generator state are bit-identical to the sequential walk either
+    // way.
     bool no_zero = true;
     {
-      constexpr std::uint64_t kMult = 6364136223846793005ULL;
       constexpr std::uint64_t kMult2 = kMult * kMult;  // two-step multiplier
       const std::uint64_t inc2 = inc_ * (kMult + 1ULL);
-      std::uint64_t sa = state_;                 // states s0, s2, s4, ...
-      std::uint64_t sb = state_ * kMult + inc_;  // states s1, s3, s5, ...
-      for (std::size_t p = 0; p < pairs; ++p) {
+      std::uint64_t s = state_;
+      std::size_t p = 0;
+#if defined(__AVX2__)
+      p = uniform_walk16(s, inc_, pairs, u1, u2, no_zero);
+#endif
+      std::uint64_t sa = s;                 // states s_{2p}, s_{2p+2}, ...
+      std::uint64_t sb = s * kMult + inc_;  // states s_{2p+1}, ...
+      for (; p < pairs; ++p) {
         const std::uint32_t ra = pcg_output(sa);
         const std::uint32_t rb = pcg_output(sb);
         sa = sa * kMult2 + inc2;

@@ -5,6 +5,7 @@
 // noise generator, and all the way to the CPA verdict on both chips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -275,6 +276,186 @@ TEST(AcquisitionKernel, EndToEndDetectionUnchangedOnBothChips) {
               verdict_ref.spectrum.peak_rotation);
     EXPECT_EQ(verdict_kernel.spectrum.peak_value,
               verdict_ref.spectrum.peak_value);
+  }
+}
+
+/// Feeds `trace` through a kernel pass by pass, the range pass in
+/// `range_chunks` and the trigger/acquire passes in `acquire_chunks`
+/// (whole-cycle chunk lengths; the last one repeats until the trace
+/// ends).
+struct KernelRun {
+  Acquisition acq;
+  std::size_t replayed_blocks = 0;
+  std::size_t checkpoint_bytes = 0;
+};
+KernelRun run_kernel(const AcquisitionConfig& cfg,
+                     const power::PowerTrace& trace,
+                     std::vector<std::size_t> range_chunks,
+                     std::vector<std::size_t> acquire_chunks) {
+  AcquisitionKernel kernel(cfg, trace.clock_hz());
+  const auto span = trace.span();
+  const auto feed_all = [&](const std::vector<std::size_t>& chunks,
+                            auto&& feed) {
+    std::size_t pos = 0;
+    for (std::size_t i = 0; pos < span.size(); ++i) {
+      const std::size_t n =
+          std::min(chunks[std::min(i, chunks.size() - 1)], span.size() - pos);
+      feed(span.subspan(pos, n));
+      pos += n;
+    }
+  };
+  if (kernel.needs_range_pass()) {
+    feed_all(range_chunks, [&](auto c) { kernel.range_feed(c); });
+    kernel.fix_range();
+  }
+  if (kernel.needs_trigger_pass()) {
+    feed_all(acquire_chunks, [&](auto c) { kernel.trigger_feed(c); });
+    kernel.fix_trigger();
+  }
+  KernelRun run;
+  feed_all(acquire_chunks, [&](auto c) {
+    kernel.acquire_feed(c, run.acq.per_cycle_power_w);
+  });
+  run.acq.mean_power_w = kernel.summary().mean_power_w;
+  run.acq.lsb_power_w = kernel.summary().lsb_power_w;
+  run.replayed_blocks = kernel.replayed_blocks();
+  run.checkpoint_bytes = kernel.checkpoint_bytes();
+  return run;
+}
+
+TEST(AcquisitionKernel, DefaultBlockSplitsIntoReplayLanes) {
+  for (const std::size_t spc : {7, 25, 50, 64, 100}) {
+    AcquisitionConfig cfg;
+    cfg.waveform.samples_per_cycle = spc;
+    const AcquisitionKernel kernel(cfg, 10.0e6);
+    EXPECT_EQ(kernel.block_cycles() % AcquisitionKernel::kReplayLanes, 0u)
+        << "spc " << spc;
+  }
+  AcquisitionConfig cfg;  // spc = 50
+  EXPECT_EQ(AcquisitionKernel(cfg, 10.0e6).block_cycles(), 80u);
+}
+
+TEST(AcquisitionKernel, CheckpointReplayMatchesReferenceAtAnyBlockSize) {
+  // Blocks of 20 cycles split into eight lanes; 13 and 81 cycles do not
+  // (650 and 4050 samples), so those run the one-lane chain throughout.
+  AcquisitionConfig cfg;
+  cfg.noise_seed = 404;
+  const auto trace = make_trace(6000, 0xB10C);
+  const auto ref = AcquisitionChain(cfg).acquire_reference(trace);
+  for (const std::size_t block : {13, 20, 81}) {
+    cfg.block_cycles = block;
+    const KernelRun run = run_kernel(cfg, trace, {trace.cycles()},
+                                     {trace.cycles()});
+    SCOPED_TRACE(block);
+    expect_bit_identical(ref, run.acq);
+    EXPECT_EQ(run.replayed_blocks > 0, block == 20);
+  }
+}
+
+TEST(AcquisitionKernel, CheckpointReplayMatchesReferenceAtChunkSizes) {
+  // Both passes fed in the same chunks. 8-cycle chunks are one 400-sample
+  // block each; 37-cycle chunks (1850 samples) never split into eight
+  // equal lanes; 4096-cycle chunks end in a partial 16-cycle block.
+  AcquisitionConfig cfg;
+  cfg.noise_seed = 8037;
+  const auto trace = make_trace(9000, 0xC4C);
+  const auto ref = AcquisitionChain(cfg).acquire_reference(trace);
+  for (const std::size_t chunk : {8, 37, 4096}) {
+    const KernelRun run = run_kernel(cfg, trace, {chunk}, {chunk});
+    SCOPED_TRACE(chunk);
+    expect_bit_identical(ref, run.acq);
+    EXPECT_EQ(run.replayed_blocks > 0, chunk != 37);
+  }
+}
+
+TEST(AcquisitionKernel, CheckpointReplayMatchesReferenceWithoutPdn) {
+  AcquisitionConfig cfg;
+  cfg.enable_pdn_filter = false;
+  cfg.noise_seed = 55;
+  const auto trace = make_trace(5000, 0x9D);
+  const KernelRun run =
+      run_kernel(cfg, trace, {trace.cycles()}, {trace.cycles()});
+  expect_bit_identical(AcquisitionChain(cfg).acquire_reference(trace),
+                       run.acq);
+  EXPECT_GT(run.replayed_blocks, 0u);
+}
+
+TEST(AcquisitionKernel, FixedRangeRunsOneLaneWithoutCheckpoints) {
+  AcquisitionConfig cfg;
+  cfg.range_policy = RangePolicy::kFixedRange;
+  cfg.scope.full_scale_v = 0.2;
+  cfg.noise_seed = 66;
+  const auto trace = make_trace(5000, 0xF1);
+  const KernelRun run = run_kernel(cfg, trace, {}, {trace.cycles()});
+  expect_bit_identical(AcquisitionChain(cfg).acquire_reference(trace),
+                       run.acq);
+  EXPECT_EQ(run.replayed_blocks, 0u);
+  EXPECT_EQ(run.checkpoint_bytes, 0u);
+}
+
+TEST(AcquisitionKernel, DifferentChunkingsTakeTheOneLanePath) {
+  // The range pass records blocks at multiples of 80 cycles; the acquire
+  // pass, offset by a 37-cycle first chunk, starts every block elsewhere,
+  // so no record matches and every block runs the serial chain.
+  AcquisitionConfig cfg;
+  cfg.noise_seed = 3737;
+  const auto trace = make_trace(6000, 0xD1F);
+  const KernelRun run =
+      run_kernel(cfg, trace, {trace.cycles()}, {37, 800});
+  expect_bit_identical(AcquisitionChain(cfg).acquire_reference(trace),
+                       run.acq);
+  EXPECT_EQ(run.replayed_blocks, 0u);
+  EXPECT_GT(run.checkpoint_bytes, 0u);
+}
+
+TEST(AcquisitionKernel, CheckpointsOfAnotherTraceAreNotReplayed) {
+  // The range pass over trace A records A's filter trajectory; an
+  // acquire pass fed trace B must not replay it. With an 80-cycle first
+  // range chunk the records sit at the acquire pass's block starts, with
+  // a 37-cycle one they never do: both kernels must produce the same Y.
+  AcquisitionConfig cfg;
+  cfg.noise_seed = 77;
+  const auto a = make_trace(4000, 0xA);
+  const auto b = make_trace(4000, 0xB);
+  const auto acquire_b = [&](std::size_t range_first_chunk) {
+    AcquisitionKernel kernel(cfg, a.clock_hz());
+    kernel.range_feed(a.span().first(range_first_chunk));
+    kernel.range_feed(a.span().subspan(range_first_chunk));
+    kernel.fix_range();
+    std::vector<double> y;
+    kernel.acquire_feed(b.span(), y);
+    EXPECT_EQ(kernel.replayed_blocks(), 0u);
+    return y;
+  };
+  EXPECT_EQ(acquire_b(37), acquire_b(80));
+}
+
+TEST(AcquisitionKernel, TriggerOffsetPassesReplayCheckpoints) {
+  AcquisitionConfig cfg;
+  cfg.trigger_sim = TriggerSim::kFixedOffset;
+  cfg.trigger_offset_samples = 21;
+  cfg.noise_seed = 2121;
+  const auto trace = make_trace(5000, 0x0FF);
+  const KernelRun run = run_kernel(cfg, trace, {1000}, {1000});
+  expect_bit_identical(AcquisitionChain(cfg).acquire_reference(trace),
+                       run.acq);
+  EXPECT_GT(run.replayed_blocks, 0u);
+}
+
+TEST(AcquisitionKernel, CheckpointStoreIsPerBlockNotPerSample) {
+  // A 65,536-cycle capture is 3.3 M samples; the store holds a few
+  // states per block, never anything per sample (26 MB).
+  AcquisitionConfig cfg;
+  const auto trace = make_trace(65536, 0x10000);
+  for (const std::size_t chunk : {std::size_t{4096}, trace.cycles()}) {
+    AcquisitionKernel kernel(cfg, trace.clock_hz());
+    const auto span = trace.span();
+    for (std::size_t pos = 0; pos < span.size(); pos += chunk) {
+      kernel.range_feed(span.subspan(pos, std::min(chunk, span.size() - pos)));
+    }
+    kernel.fix_range();
+    EXPECT_GT(kernel.checkpoint_bytes(), 0u);
+    EXPECT_LT(kernel.checkpoint_bytes(), 256u * 1024u) << "chunk " << chunk;
   }
 }
 

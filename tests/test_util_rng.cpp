@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -168,6 +169,53 @@ TEST(FillGaussian, ConsumesPendingCachedPartner) {
   batched.fill_gaussian(got, -1.0, 0.5);
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(expect[i], got[i]) << i;
+  }
+}
+
+/// A Pcg32 on stream `stream` whose draw number `draw` (0-based, counted
+/// from construction) is exactly 0. Output 0 comes from state 0, so walk
+/// the LCG s' = M s + inc back from state 0 to the post-construction
+/// state, then solve the seed from the constructor's two steps.
+Pcg32 generator_with_zero_draw(std::uint64_t stream, std::size_t draw) {
+  constexpr std::uint64_t kMult = 6364136223846793005ULL;
+  std::uint64_t inv = kMult;  // Newton: each round doubles the good bits
+  for (int i = 0; i < 6; ++i) inv *= 2 - kMult * inv;
+  const std::uint64_t inc = (stream << 1u) | 1u;
+  std::uint64_t state = 0;
+  for (std::size_t i = 0; i < draw; ++i) state = inv * (state - inc);
+  // Construction: state = inc; state += seed; state = state * M + inc.
+  const std::uint64_t seed = inv * (state - inc) - inc;
+  return Pcg32(seed, stream);
+}
+
+TEST(FillGaussian, ZeroUniformTakesTheRejectionFallback) {
+  // A u1 draw of exactly 0 makes the sequential gaussian() reject it and
+  // draw again, shifting every later pair by one draw. The jump-ahead
+  // walks cannot follow that shift, so the batch must be replayed by
+  // the rejection loop and still equal the sequential draws. The zero
+  // is placed in the 16-state vector walk (pairs 0, 5, 100), in its
+  // scalar remainder (pair 497 of a 500-pair batch) and in a later
+  // batch (pair 700), on odd and even lengths.
+  for (const std::size_t pair : {0, 5, 100, 497, 700}) {
+    for (const std::size_t n : {std::size_t{1001}, std::size_t{1600}}) {
+      Pcg32 probe = generator_with_zero_draw(11, 2 * pair);
+      for (std::size_t i = 0; i < 2 * pair; ++i) probe();
+      ASSERT_EQ(probe(), 0u) << "pair " << pair;
+
+      Pcg32 scalar = generator_with_zero_draw(11, 2 * pair);
+      Pcg32 batched = scalar;
+      std::vector<double> got(n);
+      batched.fill_gaussian(got, 0.0, 1.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(scalar.gaussian(), got[i])
+            << "pair " << pair << " n " << n << " i " << i;
+      }
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_EQ(scalar.gaussian(), batched.gaussian())
+            << "pair " << pair << " n " << n;
+      }
+      ASSERT_EQ(scalar(), batched());
+    }
   }
 }
 
